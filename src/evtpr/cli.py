@@ -203,6 +203,8 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.repeat < 1:
+        raise UsageError("--repeat must be >= 1")
     raw_bytes = Path(args.events).stat().st_size
     elapsed = []
     result = None
@@ -236,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="evtpr",
         description="Event-stream representations and forward decoding pipeline")
     parser.add_argument("--threads", type=int, default=_default_threads(),
-                        help="cap internal parallelism (outputs are identical for any value)")
+                        help="reserved and ignored: execution is serial "
+                             "(outputs are identical for any value)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate events from a frame clip")

@@ -18,8 +18,13 @@ import numpy as np
 from .errors import InvalidInputError, NumericError
 
 
+def _f32(a) -> np.ndarray:
+    return np.asarray(a, np.float32)
+
+
 # ---------------------------------------------------------------------------
-# parameter containers
+# parameter containers; each casts its arrays to float32 once, when built,
+# so the kernels use weights as they are
 
 @dataclass(frozen=True)
 class AttentionParams:
@@ -34,6 +39,8 @@ class AttentionParams:
     b_o: np.ndarray
 
     def __post_init__(self):
+        for name in ("w_q", "b_q", "w_k", "b_k", "w_v", "b_v", "w_o", "b_o"):
+            object.__setattr__(self, name, _f32(getattr(self, name)))
         c = self.w_q.shape[1]
         for m in (self.w_q, self.w_k, self.w_v, self.w_o):
             if m.shape != (c, c):
@@ -57,6 +64,8 @@ class MlpParams:
     activations: tuple[str, ...]  # per layer: "gelu", "relu", "none"
 
     def __post_init__(self):
+        object.__setattr__(self, "weights", tuple(_f32(w) for w in self.weights))
+        object.__setattr__(self, "biases", tuple(_f32(b) for b in self.biases))
         if not (len(self.weights) == len(self.biases) == len(self.activations)):
             raise InvalidInputError("mlp layer lists must align")
         for w_prev, w_next in zip(self.weights, self.weights[1:]):
@@ -90,6 +99,10 @@ class StebParams:
 class ConvParams:
     weight: np.ndarray  # out_c x in_c (1x1) or out_c x in_c x kh x kw
     bias: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "weight", _f32(self.weight))
+        object.__setattr__(self, "bias", _f32(self.bias))
 
 
 @dataclass(frozen=True)
@@ -188,18 +201,20 @@ def _gelu(x: np.ndarray) -> np.ndarray:
     return (0.5 * x64 * (1.0 + erf(x64 / math.sqrt(2.0)))).astype(np.float32)
 
 
+# each may overwrite its float32 argument, which callers pass fresh
 _ACTIVATIONS = {
-    "gelu": lambda x: _gelu(x),
-    "relu": lambda x: np.maximum(x, 0.0).astype(np.float32),
-    "none": lambda x: x.astype(np.float32),
+    "gelu": _gelu,
+    "relu": lambda x: np.maximum(x, 0.0, out=x),
+    "none": lambda x: x,
 }
 
 
 def mlp_forward(x: np.ndarray, params: MlpParams) -> np.ndarray:
     """Dense layers over the last axis of x."""
-    out = x.astype(np.float32)
+    out = _f32(x)
     for w, b, act in zip(params.weights, params.biases, params.activations):
-        out = out @ w.T.astype(np.float32) + b.astype(np.float32)
+        out = out @ w.T
+        out += b
         out = _ACTIVATIONS[act](out)
     return out
 
@@ -225,10 +240,10 @@ def multi_head_self_attention(x: np.ndarray, params: AttentionParams,
     h, d = params.heads, params.head_dim
     lead = x.shape[:-2]
     n = x.shape[-2]
-    xf = x.astype(np.float32)
-    q = xf @ params.w_q.T.astype(np.float32) + params.b_q.astype(np.float32)
-    k = xf @ params.w_k.T.astype(np.float32) + params.b_k.astype(np.float32)
-    v = xf @ params.w_v.T.astype(np.float32) + params.b_v.astype(np.float32)
+    xf = _f32(x)
+    q = xf @ params.w_q.T + params.b_q
+    k = xf @ params.w_k.T + params.b_k
+    v = xf @ params.w_v.T + params.b_v
 
     def split(m):
         m = m.reshape(lead + (n, h, d))
@@ -243,7 +258,7 @@ def multi_head_self_attention(x: np.ndarray, params: AttentionParams,
         row_sum_dev.append(float(np.abs(attn.astype(np.float64).sum(-1) - 1.0).max()))
     out = attn @ v
     out = np.moveaxis(out, -3, -2).reshape(lead + (n, h * d))
-    out = out @ params.w_o.T.astype(np.float32) + params.b_o.astype(np.float32)
+    out = out @ params.w_o.T + params.b_o
     if not np.all(np.isfinite(out)):
         raise NumericError("non-finite attention output")
     return out
@@ -274,8 +289,10 @@ def conv1x1(x: np.ndarray, params: ConvParams) -> np.ndarray:
     w, b = params.weight, params.bias
     if w.ndim != 2 or x.shape[-3] != w.shape[1]:
         raise InvalidInputError("1x1 conv weight inconsistent with input channels")
-    out = np.einsum("oc,...chw->...ohw", w.astype(np.float32), x.astype(np.float32))
-    return (out + b.astype(np.float32)[:, None, None]).astype(np.float32)
+    *lead, c, h, wd = x.shape
+    out = w @ _f32(x).reshape(*lead, c, h * wd)  # BLAS per leading index
+    out += b[:, None]
+    return out.reshape(*lead, w.shape[0], h, wd)
 
 
 def downsample_half(x: np.ndarray, params: ConvParams) -> np.ndarray:
@@ -285,13 +302,13 @@ def downsample_half(x: np.ndarray, params: ConvParams) -> np.ndarray:
         raise InvalidInputError("downsample requires even spatial dimensions")
     if w.ndim != 4 or w.shape[2:] != (2, 2) or x.shape[-3] != w.shape[1]:
         raise InvalidInputError("downsample kernel must be out_c x in_c x 2 x 2")
-    xf = x.astype(np.float32)
+    xf = _f32(x)
     patches = np.stack([xf[..., 0::2, 0::2], xf[..., 0::2, 1::2],
                         xf[..., 1::2, 0::2], xf[..., 1::2, 1::2]], axis=-3)
     # patches: ... x C x 4 x H/2 x W/2
-    wf = w.reshape(w.shape[0], w.shape[1], 4).astype(np.float32)
-    out = np.einsum("ock,...ckhw->...ohw", wf, patches)
-    return (out + b.astype(np.float32)[:, None, None]).astype(np.float32)
+    out = np.einsum("ock,...ckhw->...ohw", w.reshape(w.shape[0], w.shape[1], 4), patches)
+    out += b[:, None, None]
+    return out
 
 
 def upsample_double(x: np.ndarray, params: ConvParams) -> np.ndarray:
@@ -299,16 +316,16 @@ def upsample_double(x: np.ndarray, params: ConvParams) -> np.ndarray:
     w, b = params.weight, params.bias
     if w.ndim != 4 or w.shape[2:] != (3, 3) or x.shape[-3] != w.shape[1]:
         raise InvalidInputError("upsample kernel must be out_c x in_c x 3 x 3")
-    xf = np.repeat(np.repeat(x.astype(np.float32), 2, axis=-2), 2, axis=-1)
+    xf = np.repeat(np.repeat(_f32(x), 2, axis=-2), 2, axis=-1)
     padded = np.zeros(xf.shape[:-2] + (xf.shape[-2] + 2, xf.shape[-1] + 2), np.float32)
     padded[..., 1:-1, 1:-1] = xf
     out = np.zeros(xf.shape[:-3] + (w.shape[0],) + xf.shape[-2:], np.float32)
-    wf = w.astype(np.float32)
     for di in range(3):
         for dj in range(3):
             sl = padded[..., di:di + xf.shape[-2], dj:dj + xf.shape[-1]]
-            out += np.einsum("oc,...chw->...ohw", wf[:, :, di, dj], sl)
-    return (out + b.astype(np.float32)[:, None, None]).astype(np.float32)
+            out += np.einsum("oc,...chw->...ohw", w[:, :, di, dj], sl)
+    out += b[:, None, None]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -383,22 +400,55 @@ def fuse_features(f_g: np.ndarray, f_t_l: np.ndarray, conv: ConvParams) -> np.nd
     return conv1x1(f_g + f_t_l, conv)
 
 
+def gated_compress(t: float, params: TemporalEmbedParams) -> ConvParams:
+    """The compress conv with the channel attention a(t) folded in.
+
+    compress(a(t) * R) = (W_c diag(a(t))) R + b_c, so gating and
+    compression are one 1x1 conv of weight W_c diag(a(t)) and bias b_c.
+    """
+    if not 0.0 <= t <= 1.0:
+        raise InvalidInputError("t must lie in [0, 1]")
+    attn = mlp_forward(np.array([t], np.float32), params.mlp)
+    if attn.shape[0] != params.compress.weight.shape[1]:
+        raise InvalidInputError("temporal MLP output does not match compress input channels")
+    return ConvParams(weight=params.compress.weight * attn, bias=params.compress.bias)
+
+
 def temporal_embed(t: float, params: TemporalEmbedParams, r_t: np.ndarray) -> np.ndarray:
     """Channel attention a(t) from the MLP, applied to R_t, then compressed.
 
     r_t: C_t x H x W. Returns C_ts x H x W.
     """
-    if not 0.0 <= t <= 1.0:
-        raise InvalidInputError("t must lie in [0, 1]")
-    attn = mlp_forward(np.array([t], np.float32), params.mlp)
-    if attn.shape[0] != r_t.shape[0]:
+    gated = gated_compress(t, params)
+    if gated.weight.shape[1] != r_t.shape[0]:
         raise InvalidInputError("temporal MLP output does not match R_t channels")
-    weighted = (attn[:, None, None] * r_t).astype(np.float32)
-    return conv1x1(weighted, params.compress)
+    return conv1x1(r_t, gated)
+
+
+def timestamp_head(t: float, fuse: ConvParams, params: TemporalEmbedParams) -> ConvParams:
+    """fuse -> a(t) gating -> compress as one C_ts x C_r 1x1 conv.
+
+    All three are linear, so the composition has weight
+    W_c diag(a(t)) W_f and bias W_c (a(t) * b_f) + b_c; applied to
+    F_g + F_t it equals temporal_embed(t, params, fuse_features(...))
+    without building the C_t x H x W tensor.
+    """
+    gated = gated_compress(t, params)
+    if gated.weight.shape[1] != fuse.weight.shape[0]:
+        raise InvalidInputError("fuse output does not match temporal channels")
+    return ConvParams(weight=gated.weight @ fuse.weight,
+                      bias=gated.weight @ fuse.bias + gated.bias)
 
 
 # ---------------------------------------------------------------------------
 # implicit spatial decoding
+
+# Queries per decode chunk. A chunk's temporaries are 4 * _DECODE_CHUNK rows
+# of the decoder's hidden width (4 MB at width 64), so peak memory does not
+# grow with the output size, and blocks that small are reused from the heap
+# rather than mapped (and page-faulted) afresh for every layer.
+_DECODE_CHUNK = 4096
+
 
 def spatial_decode(feature: np.ndarray, queries: np.ndarray, s: float,
                    decoder: MlpParams) -> np.ndarray:
@@ -409,6 +459,13 @@ def spatial_decode(feature: np.ndarray, queries: np.ndarray, s: float,
     MLP(feature || offset-to-center) into an RGB candidate; candidates are
     combined with weights proportional to the rectangle area spanned by the
     query and the diagonally opposite cell center (weights sum to 1).
+
+    The decoder's first layer is linear in feature || offset, so it splits
+    into a per-cell part, W1[:, :C] f + b1, computed once for each of the
+    h*w cells, and a per-corner part, dx W1[:, C] + dy W1[:, C+1], added to
+    the gathered row of the corner's cell. Queries are decoded in chunks of
+    _DECODE_CHUNK, the four corners of a chunk as one batch through the
+    remaining layers, so memory stays bounded at any output size.
     """
     if s < 1:
         raise InvalidInputError("scale must be >= 1")
@@ -421,37 +478,40 @@ def spatial_decode(feature: np.ndarray, queries: np.ndarray, s: float,
     if np.any(q[:, 0] < 0) or np.any(q[:, 0] > w) or np.any(q[:, 1] < 0) or np.any(q[:, 1] > h):
         raise InvalidInputError("query outside the feature grid extent")
 
-    qx, qy = q[:, 0], q[:, 1]
-    j0 = np.clip(np.floor(qx - 0.5).astype(np.int64), 0, w - 1)
-    i0 = np.clip(np.floor(qy - 0.5).astype(np.int64), 0, h - 1)
-    j1 = np.minimum(j0 + 1, w - 1)
-    i1 = np.minimum(i0 + 1, h - 1)
+    w1 = decoder.weights[0]
+    cell = _f32(feature).reshape(c, h * w).T @ w1[:, :c].T  # (h*w) x hidden
+    cell += decoder.biases[0]
+    w_offset = w1[:, c:].T  # 2 x hidden
+    first_act = _ACTIVATIONS[decoder.activations[0]]
+    rest = MlpParams(weights=decoder.weights[1:], biases=decoder.biases[1:],
+                     activations=decoder.activations[1:])
 
-    feat = feature.astype(np.float32)
     n = q.shape[0]
-    rgb = np.zeros((n, 4, 3), np.float32)
-    weights = np.zeros((n, 4), np.float64)
-    corners = [(i0, j0), (i0, j1), (i1, j0), (i1, j1)]
-    opposite = [3, 2, 1, 0]
-    for k, (ci, cj) in enumerate(corners):
-        cx, cy = cj + 0.5, ci + 0.5
-        dx, dy = qx - cx, qy - cy
-        inp = np.concatenate([
-            feat[:, ci, cj].T,
-            np.stack([dx, dy], axis=1).astype(np.float32),
-        ], axis=1)
-        rgb[:, k, :] = mlp_forward(inp, decoder)
-        oi, oj = corners[opposite[k]]
-        weights[:, k] = np.abs((qx - (oj + 0.5)) * (qy - (oi + 0.5)))
+    out = np.empty((n, decoder.out_dim), np.float32)
+    for start in range(0, n, _DECODE_CHUNK):
+        qx, qy = q[start:start + _DECODE_CHUNK].T
+        j0 = np.clip(np.floor(qx - 0.5).astype(np.int64), 0, w - 1)
+        i0 = np.clip(np.floor(qy - 0.5).astype(np.int64), 0, h - 1)
+        j1 = np.minimum(j0 + 1, w - 1)
+        i1 = np.minimum(i0 + 1, h - 1)
+        rows = np.stack([i0, i0, i1, i1])  # corner x query
+        cols = np.stack([j0, j1, j0, j1])
+        dx = qx - (cols + 0.5)
+        dy = qy - (rows + 0.5)
+        # corner k is weighted by the area to the opposite corner, 3 - k
+        weights = np.abs(dx[::-1] * dy[::-1])
+        total = weights.sum(axis=0)
+        degenerate = total <= 0
+        if np.any(degenerate):
+            # clamped corners collapsed; fall back to equal weighting
+            weights[:, degenerate] = 0.25
+            total[degenerate] = 1.0
+        weights /= total
 
-    total = weights.sum(axis=1, keepdims=True)
-    degenerate = total[:, 0] <= 0
-    if np.any(degenerate):
-        # clamped corners collapsed; fall back to equal weighting
-        weights[degenerate] = 0.25
-        total[degenerate] = 1.0
-    weights = weights / total
-    out = np.einsum("nk,nkc->nc", weights.astype(np.float32), rgb)
+        hidden = cell[(rows * w + cols).ravel()]
+        hidden += np.stack([dx.ravel(), dy.ravel()], axis=1).astype(np.float32) @ w_offset
+        rgb = mlp_forward(first_act(hidden), rest).reshape(4, len(qx), -1)
+        out[start:start + len(qx)] = np.einsum("kn,knc->nc", weights.astype(np.float32), rgb)
     if not np.all(np.isfinite(out)):
         raise NumericError("non-finite decoded values")
     return out

@@ -26,7 +26,8 @@ from .kernels import (
     holistic_extractor_forward,
     regional_extractor_forward,
     spatial_decode,
-    temporal_embed,
+    temporal_embed,  # unused here; perfbench/tracing.py wraps it under this module's name
+    timestamp_head,
 )
 from .representations import build_tpr, build_voxel_grid
 
@@ -147,8 +148,11 @@ def pipeline_forward(frames: Sequence[IntensityFrame], stream: EventStream,
 
     The holistic extractor runs exactly once; the regional extractor,
     fusion, temporal embedding, and spatial decoding run per output
-    timestamp. `threads` caps internal parallelism and never changes the
-    numbers (work is reduced in a fixed order).
+    timestamp. Fusion, the a(t) gating and compression are linear, so per
+    timestamp they run as one folded 1x1 conv (`timestamp_head`) on
+    F_g + F_t, and the C_t-channel fused tensor is never built.
+    `threads` is reserved and ignored: execution is serial, so outputs are
+    identical for any value >= 1.
     """
     if len(frames) != config.n_in:
         raise InvalidInputError("frame count must equal config.n_in")
@@ -203,9 +207,8 @@ def pipeline_forward(frames: Sequence[IntensityFrame], stream: EventStream,
                                            params.regional, config.window_size,
                                            row_sum_dev=row_dev)
         report.stage_shapes["regional_features"] = tuple(f_t_l.shape)
-        r_t = fuse_features(f_g_pooled, f_t_l.mean(axis=0), params.fuse)
-        report.stage_shapes["fused"] = tuple(r_t.shape)
-        r_ts = temporal_embed(t, params.temporal, r_t)
+        head = timestamp_head(t, params.fuse, params.temporal)
+        r_ts = fuse_features(f_g_pooled, f_t_l.mean(axis=0), head)
         report.stage_shapes["temporal_embedded"] = tuple(r_ts.shape)
         rgb = spatial_decode(r_ts, queries, s, params.decoder)
         frame = np.clip(rgb.reshape(out_h, out_w, 3), 0.0, 1.0)

@@ -261,6 +261,14 @@ class TestBench:
         assert "events_per_second:" in out
         assert "bytes_per_second:" in out
 
+    def test_repeat_below_one_is_usage_error(self, tmp_path):
+        frames = make_ramp_clip(h=8, w=8, n_frames=4)
+        d = write_clip(tmp_path, frames)
+        events = tmp_path / "events.evt"
+        main(["simulate", str(d), "--threshold", "0.1", "-o", str(events)])
+        for repeat in ("0", "-2"):
+            assert main(["bench", str(events), "--repeat", repeat]) == 2
+
     def test_large_synthetic_file(self, tmp_path):
         from evtpr import EventStream
         from evtpr.io_formats import write_events

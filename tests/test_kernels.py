@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from evtpr.kernels import (
     spatial_decode,
     steb_forward,
     temporal_embed,
+    timestamp_head,
     upsample_double,
     window_partition,
     window_unpartition,
@@ -439,6 +441,21 @@ class TestTemporalEmbed:
         with pytest.raises(InvalidInputError):
             temporal_embed(1.5, params, np.zeros((4, 2, 2), np.float32))
 
+    def test_folded_head_matches_fuse_then_embed(self):
+        rng = np.random.default_rng(26)
+        c_r, c_t, c_ts = 6, 640, 8
+        fuse = ConvParams(weight=rng.standard_normal((c_t, c_r)).astype(np.float32) / 3,
+                          bias=rng.standard_normal(c_t).astype(np.float32) / 3)
+        params = make_temporal_params(rng, c_t, c_ts)
+        a = rng.standard_normal((c_r, 5, 7)).astype(np.float32)
+        b = rng.standard_normal((c_r, 5, 7)).astype(np.float32)
+        for t in (0.0, 0.37, 1.0):
+            ref = temporal_embed(t, params, fuse_features(a, b, fuse))
+            out = fuse_features(a, b, timestamp_head(t, fuse, params))
+            assert np.allclose(out, ref, rtol=1e-5, atol=1e-5)
+        with pytest.raises(InvalidInputError):
+            timestamp_head(0.5, fuse, make_temporal_params(rng, c_t + 1, c_ts))
+
 
 def naive_spatial_decode(feature, queries, decoder):
     """Geometric oracle: nearest-center search + closed-form area weights,
@@ -532,6 +549,23 @@ class TestSpatialDecode:
         feature = np.zeros((2, 4, 4), np.float32)
         with pytest.raises(InvalidInputError):
             spatial_decode(feature, np.array([[5.0, 1.0]]), 1.0, decoder)
+
+    def test_peak_memory_bounded_at_large_output(self):
+        # 64x64x64 features at s=8: 262144 queries, whose N x 64 float32
+        # hidden activations alone would take 67 MB per array
+        rng = np.random.default_rng(31)
+        decoder = _init_mlp(rng, [66, 64, 64, 64, 3],
+                            ["relu", "relu", "relu", "none"])
+        feature = rng.standard_normal((64, 64, 64)).astype(np.float32)
+        gy, gx = np.meshgrid(np.arange(512), np.arange(512), indexing="ij")
+        q = np.stack([(gx.ravel() + 0.5) / 8, (gy.ravel() + 0.5) / 8], axis=1)
+        tracemalloc.start()
+        try:
+            spatial_decode(feature, q, 8.0, decoder)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 48e6
 
 
 class TestCharbonnier:
