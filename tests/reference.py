@@ -1,12 +1,16 @@
-"""Frozen reference for the per-timestamp head of the pipeline.
+"""Frozen reference for the pipeline: extractors and per-timestamp head.
 
+The STEB kernels (`layer_norm`, `_softmax`, `_gelu`,
+`multi_head_self_attention`, `steb_forward`), both extractors,
 `fuse_features`, `temporal_embed` and `spatial_decode` (with the
 `mlp_forward` and `conv1x1` they call) are the straightforward versions the
-production kernels were derived from, kept unchanged as the oracle:
-every corner of every query runs the whole decoder MLP on
-feature || offset, and the fused C_t x H x W tensor is built explicitly.
-`reference_pipeline_forward` composes them with the production extractors
-in the same order as `pipeline_forward`.
+production kernels were derived from, kept unchanged as the oracle: layer
+norm, softmax and GELU run internally in float64, every corner of every
+query runs the whole decoder MLP on feature || offset, and the fused
+C_t x H x W tensor is built explicitly. Window geometry and the resampling
+convolutions are imported from production; they have not changed.
+`reference_pipeline_forward` composes all of it in the same order as
+`pipeline_forward`.
 """
 
 from __future__ import annotations
@@ -15,13 +19,22 @@ import math
 
 import numpy as np
 
+from typing import Optional, Sequence
+
 from evtpr.errors import InvalidInputError, NumericError
 from evtpr.kernels import (
+    AttentionParams,
     ConvParams,
+    HolisticParams,
     MlpParams,
+    RegionalParams,
+    StebParams,
     TemporalEmbedParams,
-    holistic_extractor_forward,
-    regional_extractor_forward,
+    cyclic_shift,
+    downsample_half,
+    upsample_double,
+    window_partition,
+    window_unpartition,
 )
 from evtpr.representations import build_tpr, build_voxel_grid
 
@@ -55,6 +68,129 @@ def conv1x1(x: np.ndarray, params: ConvParams) -> np.ndarray:
         raise InvalidInputError("1x1 conv weight inconsistent with input channels")
     out = np.einsum("oc,...chw->...ohw", w.astype(np.float32), x.astype(np.float32))
     return (out + b.astype(np.float32)[:, None, None]).astype(np.float32)
+
+
+def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+               eps: float = 1e-5) -> np.ndarray:
+    """Per-token normalization over the last axis; constant rows map to 0."""
+    if eps <= 0:
+        raise InvalidInputError("eps must be positive")
+    x64 = x.astype(np.float64)
+    mean = x64.mean(axis=-1, keepdims=True)
+    var = x64.var(axis=-1, keepdims=True)
+    normed = (x64 - mean) / np.sqrt(var + eps)
+    return (normed * gamma + beta).astype(np.float32)
+
+
+def _softmax(scores: np.ndarray) -> np.ndarray:
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(shifted.astype(np.float64))
+    return (e / e.sum(axis=-1, keepdims=True)).astype(np.float32)
+
+
+def multi_head_self_attention(x: np.ndarray, params: AttentionParams,
+                              row_sum_dev: Optional[list] = None) -> np.ndarray:
+    """softmax(Q K^T / sqrt(d)) V per head, with output projection.
+
+    Works on ... x N x C inputs (leading axes are batched). When
+    `row_sum_dev` is given, the max |row sum - 1| of the softmax is
+    appended to it.
+    """
+    if x.shape[-1] != params.channels:
+        raise InvalidInputError("input channels do not match attention parameters")
+    if x.shape[-2] < 1:
+        raise InvalidInputError("need at least one token")
+    h, d = params.heads, params.head_dim
+    lead = x.shape[:-2]
+    n = x.shape[-2]
+    xf = x.astype(np.float32)
+    q = xf @ params.w_q.T.astype(np.float32) + params.b_q.astype(np.float32)
+    k = xf @ params.w_k.T.astype(np.float32) + params.b_k.astype(np.float32)
+    v = xf @ params.w_v.T.astype(np.float32) + params.b_v.astype(np.float32)
+
+    def split(m):
+        m = m.reshape(lead + (n, h, d))
+        return np.moveaxis(m, -2, -3)  # ... h, n, d
+
+    q, k, v = split(q), split(k), split(v)
+    scores = (q @ np.swapaxes(k, -1, -2)) / np.float32(math.sqrt(d))
+    if not np.all(np.isfinite(scores)):
+        raise NumericError("non-finite attention scores")
+    attn = _softmax(scores)
+    if row_sum_dev is not None:
+        row_sum_dev.append(float(np.abs(attn.astype(np.float64).sum(-1) - 1.0).max()))
+    out = attn @ v
+    out = np.moveaxis(out, -3, -2).reshape(lead + (n, h * d))
+    out = out @ params.w_o.T.astype(np.float32) + params.b_o.astype(np.float32)
+    if not np.all(np.isfinite(out)):
+        raise NumericError("non-finite attention output")
+    return out
+
+
+def steb_forward(x: np.ndarray, params: StebParams, M: int,
+                 shifted: bool = False,
+                 row_sum_dev: Optional[list] = None) -> np.ndarray:
+    """Shift -> partition -> LN+windowed MHSA (residual) -> LN+MLP (residual)
+    -> unpartition -> inverse shift. Output shape equals input shape."""
+    l, c, h, w = x.shape
+    if shifted:
+        x = cyclic_shift(x, -(M // 2))
+    tokens = window_partition(x, M)
+    y = tokens + multi_head_self_attention(
+        layer_norm(tokens, params.norm1.gamma, params.norm1.beta),
+        params.attn, row_sum_dev=row_sum_dev)
+    y = y + mlp_forward(layer_norm(y, params.norm2.gamma, params.norm2.beta),
+                        params.mlp)
+    out = window_unpartition(y, M, l, h, w)
+    if shifted:
+        out = cyclic_shift(out, M // 2)
+    return out
+
+
+def regional_extractor_forward(tpr: np.ndarray, params: RegionalParams, M: int,
+                               row_sum_dev: Optional[list] = None) -> np.ndarray:
+    """TPR L x M_p x H x W -> features L x C_r x H x W via 1x1 lift + STEBs."""
+    if tpr.ndim != 4:
+        raise InvalidInputError("TPR tensor must be L x M_p x H x W")
+    x = conv1x1(tpr, params.lift)
+    for i, block in enumerate(params.blocks):
+        x = steb_forward(x, block, M, shifted=bool(i % 2), row_sum_dev=row_sum_dev)
+    return x
+
+
+def holistic_extractor_forward(frames: np.ndarray, segments: Sequence[np.ndarray],
+                               params: HolisticParams, M: int,
+                               row_sum_dev: Optional[list] = None) -> np.ndarray:
+    """Multi-scale encoder/decoder over lifted frames and event segments.
+
+    frames: N_in x 3 x H x W; segments: N_in - 1 voxel grids, each
+    bins x H x W. Frames and segments are interleaved along the level axis
+    (2*N_in - 1 levels), lifted to a common channel count, then passed
+    through STEB + downsample stages and STEB + upsample stages with
+    addition fusion at matching resolutions. Output keeps the input
+    resolution.
+    """
+    n_in = frames.shape[0]
+    if len(segments) != n_in - 1:
+        raise InvalidInputError("expected N_in - 1 event segments")
+    lifted_frames = conv1x1(frames, params.frame_lift)
+    lifted_events = conv1x1(np.stack(list(segments), axis=0), params.event_lift)
+    levels = []
+    for i in range(n_in - 1):
+        levels.append(lifted_frames[i])
+        levels.append(lifted_events[i])
+    levels.append(lifted_frames[n_in - 1])
+    x = np.stack(levels, axis=0)  # (2*N_in - 1) x C x H x W
+
+    skips = []
+    for block, down in zip(params.encoder_blocks, params.downs):
+        x = steb_forward(x, block, M, row_sum_dev=row_sum_dev)
+        skips.append(x)
+        x = downsample_half(x, down)
+    for block, up, skip in zip(params.decoder_blocks, params.ups, reversed(skips)):
+        x = steb_forward(x, block, M, shifted=True, row_sum_dev=row_sum_dev)
+        x = upsample_double(x, up) + skip
+    return x
 
 
 def fuse_features(f_g: np.ndarray, f_t_l: np.ndarray, conv: ConvParams) -> np.ndarray:

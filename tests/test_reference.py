@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 from evtpr import PipelineConfig, init_pipeline_params, pipeline_forward, simulate_events
-from evtpr.kernels import spatial_decode
+from evtpr.kernels import (
+    holistic_extractor_forward,
+    regional_extractor_forward,
+    spatial_decode,
+)
 from evtpr.pipeline import _init_mlp
+from evtpr.representations import build_voxel_grid
 
 import reference
 from test_pipeline import toy_clip, toy_config
@@ -31,6 +36,36 @@ def test_pipeline_matches_reference(config, side, s, times):
     for out, ref in zip(outs, refs):
         assert out.shape == ref.shape
         assert np.abs(out - ref).max() <= TOL
+
+
+def test_regional_extractor_matches_reference():
+    # default c_r=16 on an L=3, M_p=2 TPR-shaped input
+    config = PipelineConfig(n_in=4)
+    params = init_pipeline_params(config, 5).regional
+    rng = np.random.default_rng(17)
+    tpr = (rng.standard_normal((3, 2, 32, 32)) * 3.0).astype(np.float32)
+    out = regional_extractor_forward(tpr, params, config.window_size)
+    ref = reference.regional_extractor_forward(tpr, params, config.window_size)
+    assert out.shape == ref.shape == (3, 16, 32, 32)
+    assert np.abs(out - ref).max() <= TOL
+
+
+def test_holistic_extractor_matches_reference():
+    config = toy_config()
+    params = init_pipeline_params(config, 6).holistic
+    frames = toy_clip(h=32, w=32)
+    stream = simulate_events(frames, C=0.2)
+    ts = [f.timestamp for f in frames]
+    segments = [build_voxel_grid(stream, config.voxel_bins, a, b).data
+                for a, b in zip(ts[:-1], ts[1:])]
+    frame_tensor = np.stack(
+        [np.moveaxis(f.pixels, -1, 0) for f in frames]).astype(np.float32)
+    out = holistic_extractor_forward(frame_tensor, segments, params,
+                                     config.window_size)
+    ref = reference.holistic_extractor_forward(frame_tensor, segments, params,
+                                               config.window_size)
+    assert out.shape == ref.shape == (7, config.c_r, 32, 32)
+    assert np.abs(out - ref).max() <= TOL
 
 
 def test_decode_degenerate_queries_across_chunk_boundaries():
