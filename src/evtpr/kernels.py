@@ -86,6 +86,10 @@ class LayerNormParams:
     gamma: np.ndarray
     beta: np.ndarray
 
+    def __post_init__(self):
+        object.__setattr__(self, "gamma", _f32(self.gamma))
+        object.__setattr__(self, "beta", _f32(self.beta))
+
 
 @dataclass(frozen=True)
 class StebParams:
@@ -185,20 +189,34 @@ def cyclic_shift(x: np.ndarray, offset: int) -> np.ndarray:
 
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                eps: float = 1e-5) -> np.ndarray:
-    """Per-token normalization over the last axis; constant rows map to 0."""
+    """Per-token normalization over the last axis; constant rows map to 0.
+
+    Float32 throughout except the mean, which is accumulated in float64:
+    that makes it exact for a constant row (a float32 mean of, say, five
+    copies of 1/3 is not), so the row centres to exactly 0.
+    """
     if eps <= 0:
         raise InvalidInputError("eps must be positive")
-    x64 = x.astype(np.float64)
-    mean = x64.mean(axis=-1, keepdims=True)
-    var = x64.var(axis=-1, keepdims=True)
-    normed = (x64 - mean) / np.sqrt(var + eps)
-    return (normed * gamma + beta).astype(np.float32)
+    x = _f32(x)
+    out = x - x.mean(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
+    std = np.einsum("...c,...c->...", out, out)[..., None]
+    std /= x.shape[-1]
+    std += eps
+    np.sqrt(std, out=std)
+    out /= std
+    out *= gamma
+    out += beta
+    return out
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
     from scipy.special import erf
-    x64 = x.astype(np.float64)
-    return (0.5 * x64 * (1.0 + erf(x64 / math.sqrt(2.0)))).astype(np.float32)
+    e = x / np.float32(math.sqrt(2.0))
+    erf(e, out=e)  # scipy's float32 loop
+    e += 1.0
+    x *= e
+    x *= 0.5
+    return x
 
 
 # each may overwrite its float32 argument, which callers pass fresh
@@ -219,10 +237,25 @@ def mlp_forward(x: np.ndarray, params: MlpParams) -> np.ndarray:
     return out
 
 
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """x.max(axis=-1, keepdims=True) as a tree of np.maximum over halves.
+
+    Bit-identical to .max, and faster on the short rows of a window.
+    """
+    while x.shape[-1] > 1:
+        n, half = x.shape[-1], x.shape[-1] // 2
+        m = np.maximum(x[..., :half], x[..., half:2 * half])
+        if n % 2:
+            np.maximum(m, x[..., -1:], out=m)
+        x = m
+    return x
+
+
 def _softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted.astype(np.float64))
-    return (e / e.sum(axis=-1, keepdims=True)).astype(np.float32)
+    e = scores - _row_max(scores)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def multi_head_self_attention(x: np.ndarray, params: AttentionParams,
@@ -255,7 +288,7 @@ def multi_head_self_attention(x: np.ndarray, params: AttentionParams,
         raise NumericError("non-finite attention scores")
     attn = _softmax(scores)
     if row_sum_dev is not None:
-        row_sum_dev.append(float(np.abs(attn.astype(np.float64).sum(-1) - 1.0).max()))
+        row_sum_dev.append(float(np.abs(attn.sum(-1, dtype=np.float64) - 1.0).max()))
     out = attn @ v
     out = np.moveaxis(out, -3, -2).reshape(lead + (n, h * d))
     out = out @ params.w_o.T + params.b_o

@@ -99,6 +99,22 @@ class TestLayerNorm:
         out = layer_norm(x, np.ones(8, np.float32), np.zeros(8, np.float32))
         assert np.allclose(out, 0.0, atol=1e-5)
 
+    @pytest.mark.parametrize("width", [3, 5, 12, 17])
+    @pytest.mark.parametrize("value", [1 / 3, 7.77])
+    def test_constant_row_awkward_widths(self, width, value):
+        # a float32 mean of these rows is inexact at widths 5 and 12, and
+        # the centred row then normalizes to ~1e-4 instead of 0
+        x = np.full((4, width), value, np.float32)
+        out = layer_norm(x, np.ones(width, np.float32), np.zeros(width, np.float32))
+        assert np.abs(out).max() <= 1e-6
+
+    def test_float32_output_input_untouched(self):
+        x = np.random.default_rng(12).standard_normal((6, 4, 16)).astype(np.float32)
+        before = x.copy()
+        out = layer_norm(x, np.full(16, 2.0), np.full(16, 0.5))
+        assert out.dtype == np.float32
+        assert np.array_equal(x, before)
+
     def test_unit_stats(self):
         x = np.random.default_rng(2).standard_normal((10, 32)).astype(np.float32)
         out = layer_norm(x, np.ones(32, np.float32), np.zeros(32, np.float32))
