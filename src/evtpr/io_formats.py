@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
 import os
 import struct
 from typing import BinaryIO, Union
@@ -32,6 +33,9 @@ EVENT_HEADER = struct.Struct("<4sIHHQQQ")  # 36 bytes
 EVENT_RECORD = struct.Struct("<QHHb3x")  # 16 bytes
 
 TENSOR_MAGIC = b"TNS1"
+
+# bytes per read when the source cannot tell how many bytes it has left
+_READ_PIECE = 1 << 24
 
 PathOrStream = Union[str, os.PathLike, BinaryIO]
 
@@ -59,6 +63,33 @@ def write_events(stream: EventStream, dest: PathOrStream) -> None:
             fh.write(rec.tobytes())
 
 
+def _read_exactly(fh: BinaryIO, n: int, what: str) -> bytes:
+    """Read n bytes, n taken from an untrusted header.
+
+    n is checked against the bytes left in the source before anything is
+    read, so an absurd count is a FormatError rather than an OverflowError
+    or a huge allocation; a source that cannot seek is read in bounded
+    pieces instead.
+    """
+    if fh.seekable():
+        pos = fh.tell()
+        left = fh.seek(0, os.SEEK_END) - pos
+        fh.seek(pos)
+        data = fh.read(n) if n <= left else b""
+    else:
+        pieces, want = [], n
+        while want:
+            piece = fh.read(min(want, _READ_PIECE))
+            if not piece:
+                break
+            pieces.append(piece)
+            want -= len(piece)
+        data = b"".join(pieces)
+    if len(data) != n:
+        raise FormatError("truncated %s" % what)
+    return data
+
+
 def _record_dtype() -> np.dtype:
     return np.dtype({
         "names": ["t", "x", "y", "p"],
@@ -80,9 +111,7 @@ def read_events(src: PathOrStream) -> EventStream:
             raise FormatError("unsupported event-file version %d" % version)
         if t_begin > t_end:
             raise FormatError("t_begin exceeds t_end")
-        payload = fh.read(count * EVENT_RECORD.size)
-        if len(payload) != count * EVENT_RECORD.size:
-            raise FormatError("truncated event payload")
+        payload = _read_exactly(fh, count * EVENT_RECORD.size, "event payload")
         rec = np.frombuffer(payload, dtype=_record_dtype())
         try:
             return EventStream(
@@ -167,10 +196,7 @@ def read_tensor(src: PathOrStream) -> np.ndarray:
         if len(raw) != 4 * ndim:
             raise FormatError("truncated tensor dims")
         dims = struct.unpack("<%dI" % ndim, raw) if ndim else ()
-        count = int(np.prod(dims, dtype=np.int64)) if ndim else 1
-        payload = fh.read(4 * count)
-        if len(payload) != 4 * count:
-            raise FormatError("tensor payload length mismatch")
+        payload = _read_exactly(fh, 4 * math.prod(dims), "tensor payload")
         if fh.read(1):
             raise FormatError("trailing bytes after tensor payload")
         return np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
@@ -194,36 +220,52 @@ def write_frame(pixels: np.ndarray, dest: PathOrStream) -> None:
 def read_frame(src: PathOrStream) -> np.ndarray:
     with _binary(src, "rb") as fh:
         data = fh.read()
-    magic, rest = _pnm_token(data)
+    magic, w_tok, h_tok, max_tok, start = _pnm_header(data)
     if magic not in (b"P5", b"P6"):
         raise FormatError("unsupported pixmap magic %r" % magic)
-    w_tok, rest = _pnm_token(rest)
-    h_tok, rest = _pnm_token(rest)
-    max_tok, rest = _pnm_token(rest)
-    try:
-        w, h, maxval = int(w_tok), int(h_tok), int(max_tok)
-    except ValueError as exc:
-        raise FormatError("malformed pixmap header") from exc
+    if not (w_tok.isdigit() and h_tok.isdigit() and max_tok.isdigit()):
+        raise FormatError("malformed pixmap header")
+    w, h, maxval = int(w_tok), int(h_tok), int(max_tok)
+    if w < 1 or h < 1:
+        raise FormatError("pixmap dimensions must be positive")
     if maxval != 255:
         raise FormatError("only maxval 255 pixmaps are supported")
     channels = 1 if magic == b"P5" else 3
     need = w * h * channels
-    if len(rest) < need:
+    if len(data) - start < need:
         raise FormatError("truncated pixmap payload")
-    arr = np.frombuffer(rest[:need], np.uint8).astype(np.float64) / 255.0
+    arr = np.frombuffer(data, np.uint8, need, start).astype(np.float64) / 255.0
     if channels == 1:
         return arr.reshape(h, w)
     return arr.reshape(h, w, 3)
 
 
-def _pnm_token(data: bytes) -> tuple[bytes, bytes]:
-    i = 0
-    while i < len(data) and data[i:i + 1].isspace():
-        i += 1
-    j = i
-    while j < len(data) and not data[j:j + 1].isspace():
-        j += 1
-    if j == i:
+_PNM_SPACE = b" \t\n\v\f\r"
+
+
+def _pnm_header(data: bytes) -> tuple[bytes, bytes, bytes, bytes, int]:
+    """Magic, width, height and maxval tokens, and the payload offset.
+
+    Tokens are separated by whitespace; "#" starts a comment that runs to
+    the end of its line, as Netpbm allows. Exactly one whitespace byte
+    separates the last token from the payload.
+    """
+    tokens = []
+    i, n = 0, len(data)
+    while len(tokens) < 4:
+        while i < n and (data[i] in _PNM_SPACE or data[i] == ord("#")):
+            if data[i] == ord("#"):
+                while i < n and data[i] not in b"\r\n":
+                    i += 1
+            else:
+                i += 1
+        j = i
+        while j < n and data[j] not in _PNM_SPACE and data[j] != ord("#"):
+            j += 1
+        if j == i:
+            raise FormatError("malformed pixmap header")
+        tokens.append(data[i:j])
+        i = j
+    if i == n or data[i] not in _PNM_SPACE:
         raise FormatError("malformed pixmap header")
-    # exactly one whitespace byte separates the header from the payload
-    return data[i:j], data[j + 1:]
+    return (*tokens, i + 1)

@@ -292,6 +292,14 @@ class TestErrorCodes:
         assert main(["voxelize", str(bad), "--bins", "3",
                      "-o", str(tmp_path / "g.tns")]) == 3
 
+    def test_huge_event_count_is_format_error(self, tmp_path):
+        from evtpr.io_formats import EVENT_HEADER, EVENT_MAGIC, EVENT_VERSION
+        bad = tmp_path / "huge.evt"
+        bad.write_bytes(EVENT_HEADER.pack(EVENT_MAGIC, EVENT_VERSION, 4, 4,
+                                          2 ** 62, 0, 10))
+        assert main(["voxelize", str(bad), "--bins", "3",
+                     "-o", str(tmp_path / "g.tns")]) == 3
+
     def test_contract_error(self, tmp_path):
         frames = make_ramp_clip(h=8, w=8, n_frames=4)
         d = write_clip(tmp_path, frames)

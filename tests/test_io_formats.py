@@ -1,4 +1,5 @@
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -6,7 +7,10 @@ import pytest
 from evtpr import EventStream, FormatError
 from evtpr.io_formats import (
     EVENT_HEADER,
+    EVENT_MAGIC,
     EVENT_RECORD,
+    EVENT_VERSION,
+    TENSOR_MAGIC,
     read_events,
     read_events_csv,
     read_frame,
@@ -25,6 +29,19 @@ def round_trip_events(stream):
     write_events(stream, buf)
     buf.seek(0)
     return buf.getvalue(), read_events(io.BytesIO(buf.getvalue()))
+
+
+class Unseekable(io.RawIOBase):
+    """A pipe-like source: readable, but it cannot seek or tell its size."""
+
+    def __init__(self, data: bytes):
+        self._src = io.BytesIO(data)
+
+    def readable(self):
+        return True
+
+    def readinto(self, b):
+        return self._src.readinto(b)
 
 
 def streams_equal(a, b):
@@ -69,6 +86,24 @@ class TestEventCodec:
         raw, _ = round_trip_events(random_stream(rng, n=10))
         with pytest.raises(FormatError):
             read_events(io.BytesIO(raw[:-5]))
+
+    @pytest.mark.parametrize("count", [2 ** 62, 2 ** 40])
+    def test_huge_count_header_only(self, count, tmp_path):
+        # count * 16 overflows a read size at 2**62 and would be a 16 TB
+        # allocation at 2**40; both must be plain truncation errors
+        head = EVENT_HEADER.pack(EVENT_MAGIC, EVENT_VERSION, 4, 4, count, 0, 10)
+        path = tmp_path / "huge.evt"
+        path.write_bytes(head)
+        for src in (str(path), io.BytesIO(head), Unseekable(head)):
+            with pytest.raises(FormatError):
+                read_events(src)
+
+    def test_unseekable_source_round_trip(self, rng):
+        stream = random_stream(rng, n=40)
+        raw, _ = round_trip_events(stream)
+        assert streams_equal(read_events(Unseekable(raw)), stream)
+        with pytest.raises(FormatError):
+            read_events(Unseekable(raw[:-1]))
 
     def test_unsorted_records_rejected(self, rng):
         stream = random_stream(rng, n=5)
@@ -137,6 +172,18 @@ class TestTensorCodec:
             read_tensor(io.BytesIO(buf.getvalue() + b"\0"))
 
 
+    def test_dims_product_beyond_int64(self):
+        # (2**31)**3 wraps an int64 product to 0
+        raw = TENSOR_MAGIC + struct.pack("<4I", 3, 2 ** 31, 2 ** 31, 2 ** 31)
+        with pytest.raises(FormatError):
+            read_tensor(io.BytesIO(raw))
+
+    def test_empty_dimension_round_trip(self):
+        buf = io.BytesIO()
+        write_tensor(np.zeros((0, 3), np.float32), buf)
+        assert read_tensor(io.BytesIO(buf.getvalue())).shape == (0, 3)
+
+
 class TestPixmapCodec:
     def test_white_ppm_pixel(self):
         buf = io.BytesIO()
@@ -170,3 +217,28 @@ class TestPixmapCodec:
             read_frame(io.BytesIO(b"P3\n1 1\n255\n0 0 0\n"))
         with pytest.raises(FormatError):
             read_frame(io.BytesIO(b"P5\n1 1\n65535\n\0\0"))
+
+    def test_negative_width(self):
+        # used to decode as a (2, 0) array
+        with pytest.raises(FormatError):
+            read_frame(io.BytesIO(b"P5\n-2 2\n255\n" + b"\0" * 4))
+
+    def test_negative_width_and_height(self):
+        # used to escape as a reshape ValueError
+        with pytest.raises(FormatError):
+            read_frame(io.BytesIO(b"P5\n-2 -2\n255\n" + b"\0" * 4))
+
+    @pytest.mark.parametrize("dims", [b"0 2", b"2 0", b"+2 2", b"2_0 1"])
+    def test_non_positive_or_non_decimal_dims(self, dims):
+        with pytest.raises(FormatError):
+            read_frame(io.BytesIO(b"P5\n" + dims + b"\n255\n" + b"\0" * 40))
+
+    def test_comment_lines_skipped(self):
+        pixels = np.arange(6, dtype=np.float64).reshape(2, 3) / 255.0
+        raw = (b"P5\n# written by hand\n3 #width\n2\n# maxval next\r255\n"
+               + bytes(range(6)))
+        assert np.array_equal(read_frame(io.BytesIO(raw)), pixels)
+
+    def test_comment_in_place_of_payload_separator(self):
+        with pytest.raises(FormatError):
+            read_frame(io.BytesIO(b"P5\n1 1\n255#c\n\0"))
