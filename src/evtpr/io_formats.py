@@ -241,6 +241,7 @@ def read_frame(src: PathOrStream) -> np.ndarray:
 
 
 _PNM_SPACE = b" \t\n\v\f\r"
+_PNM_SEPARATOR = _PNM_SPACE + b"#"
 
 
 def _pnm_header(data: bytes) -> tuple[bytes, bytes, bytes, bytes, int]:
@@ -253,14 +254,14 @@ def _pnm_header(data: bytes) -> tuple[bytes, bytes, bytes, bytes, int]:
     tokens = []
     i, n = 0, len(data)
     while len(tokens) < 4:
-        while i < n and (data[i] in _PNM_SPACE or data[i] == ord("#")):
+        while i < n and data[i] in _PNM_SEPARATOR:
             if data[i] == ord("#"):
                 while i < n and data[i] not in b"\r\n":
                     i += 1
             else:
                 i += 1
         j = i
-        while j < n and data[j] not in _PNM_SPACE and data[j] != ord("#"):
+        while j < n and data[j] not in _PNM_SEPARATOR:
             j += 1
         if j == i:
             raise FormatError("malformed pixmap header")

@@ -202,11 +202,10 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
         raise InvalidInputError("eps must be positive")
     x = _f32(x)
     out = x - x.mean(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
-    std = np.einsum("...c,...c->...", out, out)[..., None]
-    std /= x.shape[-1]
-    std += eps
-    np.sqrt(std, out=std)
-    out /= std
+    var = np.einsum("...c,...c->...", out, out)[..., None]
+    var /= x.shape[-1]
+    var += eps
+    out /= np.sqrt(var, out=var)
     out *= gamma
     out += beta
     return out
