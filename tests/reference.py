@@ -1,4 +1,4 @@
-"""Frozen reference for the pipeline: extractors and per-timestamp head.
+"""Frozen reference for the pipeline: event path, extractors, per-timestamp head.
 
 The STEB kernels (`layer_norm`, `_softmax`, `_gelu`,
 `multi_head_self_attention`, `steb_forward`), both extractors,
@@ -9,6 +9,11 @@ norm, softmax and GELU run internally in float64, every corner of every
 query runs the whole decoder MLP on feature || offset, and the fused
 C_t x H x W tensor is built explicitly. Window geometry and the resampling
 convolutions are imported from production; they have not changed.
+The event path (`simulate_events`, `polarity_integral`,
+`reconstruct_log_intensity`, `build_voxel_grid`, `build_tpr`) is kept the
+same way: a Python loop over every threshold crossing with a tuple sort,
+full-stream boolean window masks and `np.add.at` scatters. The event and
+representation containers and `log_view` are imported from production.
 `reference_pipeline_forward` composes all of it in the same order as
 `pipeline_forward`.
 """
@@ -36,7 +41,12 @@ from evtpr.kernels import (
     window_partition,
     window_unpartition,
 )
-from evtpr.representations import build_tpr, build_voxel_grid
+from evtpr.events import DEFAULT_EPS, EventStream, IntensityFrame, log_view
+from evtpr.representations import TemporalPyramid, VoxelGrid
+
+# absolute slack when deciding whether the log signal reaches the next
+# threshold level; log values are O(1), so this is far below one event
+_CROSSING_TOL = 1e-9
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
@@ -269,6 +279,159 @@ def spatial_decode(feature: np.ndarray, queries: np.ndarray, s: float,
     if not np.all(np.isfinite(out)):
         raise NumericError("non-finite decoded values")
     return out
+
+
+def simulate_events(frames: Sequence[IntensityFrame], C: float,
+                    eps: float = DEFAULT_EPS) -> EventStream:
+    """Generate events from frames by linear threshold crossings in log space.
+
+    The per-pixel log-intensity signal is linearly interpolated between frame
+    samples. Starting from the first frame's log value as reference, an event
+    of polarity sign(dL) fires each time the signal departs from the
+    reference by C; the reference then advances by p*C. Event times are
+    rounded down to the microsecond. Deterministic: simultaneous events are
+    ordered row-major by pixel, positive polarity first.
+    """
+    if len(frames) < 2:
+        raise InvalidInputError("need at least two frames")
+    if C <= 0:
+        raise InvalidInputError("contrast threshold C must be positive")
+    h, w = frames[0].height, frames[0].width
+    for f in frames:
+        if f.height != h or f.width != w:
+            raise InvalidInputError("all frames must share dimensions")
+    ts = [f.timestamp for f in frames]
+    if any(b <= a for a, b in zip(ts, ts[1:])):
+        raise InvalidInputError("frame timestamps must be strictly increasing")
+
+    logs = [log_view(f, eps) for f in frames]
+    ref = logs[0].copy()
+
+    rec = []  # (t_us, pixel_index, -p, x, y, p) for canonical sorting
+    for (t0, l0), (t1, l1) in zip(zip(ts[:-1], logs[:-1]), zip(ts[1:], logs[1:])):
+        dl = l1 - l0
+        # number of threshold levels crossed per pixel during this segment
+        n_cross = np.floor(np.abs(l1 - ref) / C + _CROSSING_TOL).astype(np.int64)
+        n_cross[np.sign(dl) != np.sign(l1 - ref)] = 0
+        n_cross[dl == 0] = 0
+        ys, xs = np.nonzero(n_cross)
+        for yy, xx in zip(ys, xs):
+            pol = 1 if dl[yy, xx] > 0 else -1
+            for k in range(1, int(n_cross[yy, xx]) + 1):
+                target = ref[yy, xx] + pol * k * C
+                frac = (target - l0[yy, xx]) / dl[yy, xx]
+                t_ev = int(math.floor(t0 + frac * (t1 - t0)))
+                rec.append((t_ev, yy * w + xx, -pol, int(xx), int(yy), pol))
+            ref[yy, xx] += pol * n_cross[yy, xx] * C
+
+    rec.sort(key=lambda r: (r[0], r[1], r[2]))
+    return EventStream(
+        sensor_width=w,
+        sensor_height=h,
+        t_begin=ts[0],
+        t_end=ts[-1],
+        t=np.array([r[0] for r in rec], np.int64),
+        x=np.array([r[3] for r in rec], np.int32),
+        y=np.array([r[4] for r in rec], np.int32),
+        p=np.array([r[5] for r in rec], np.int8),
+    )
+
+
+def polarity_integral(stream: EventStream, x: int, y: int,
+                      t0: int, t1: int) -> int:
+    """Sum of polarities of events at (x, y) with t in (t0, t1]."""
+    if not (0 <= x < stream.sensor_width and 0 <= y < stream.sensor_height):
+        raise InvalidInputError("pixel out of sensor bounds")
+    if t0 > t1:
+        raise InvalidInputError("t0 must not exceed t1")
+    mask = (stream.x == x) & (stream.y == y) & (stream.t > t0) & (stream.t <= t1)
+    return int(stream.p[mask].sum())
+
+
+def reconstruct_log_intensity(frame: IntensityFrame, stream: EventStream,
+                              t: int, C: float,
+                              eps: float = DEFAULT_EPS) -> np.ndarray:
+    """Log-intensity field at time t from a keyframe plus integrated events.
+
+    output(x, y) = log_view(frame)(x, y) + C * sum of p over (frame.timestamp, t].
+    """
+    if C <= 0:
+        raise InvalidInputError("contrast threshold C must be positive")
+    if t < frame.timestamp:
+        raise InvalidInputError("backward integration is not supported (t < frame time)")
+    base = log_view(frame, eps)
+    counts = np.zeros(base.shape, np.int64)
+    mask = (stream.t > frame.timestamp) & (stream.t <= t)
+    np.add.at(counts, (stream.y[mask], stream.x[mask]), stream.p[mask])
+    return base + C * counts
+
+
+def build_voxel_grid(stream: EventStream, M: int, t0: float, t1: float) -> VoxelGrid:
+    """Accumulate a stream into M temporal bins over [t0, t1].
+
+    Each in-window event lands at normalized coordinate
+    tau = M*(t-t0)/(t1-t0) - 0.5 and splats p*(1-|tau-k|) into the one or
+    two nearest bins. tau is clamped into [0, M-1] so that boundary events
+    keep their full weight and signed mass is conserved exactly.
+    """
+    if M < 1:
+        raise InvalidInputError("bin count M must be >= 1")
+    if t0 >= t1:
+        raise InvalidInputError("t0 must be less than t1")
+    data = np.zeros((M, stream.sensor_height, stream.sensor_width), np.float64)
+    mask = (stream.t >= t0) & (stream.t <= t1)
+    if mask.any():
+        t = stream.t[mask].astype(np.float64)
+        xs = stream.x[mask].astype(np.int64)
+        ys = stream.y[mask].astype(np.int64)
+        ps = stream.p[mask].astype(np.float64)
+        tau = M * (t - t0) / (t1 - t0) - 0.5
+        np.clip(tau, 0.0, M - 1.0, out=tau)
+        k = np.floor(tau).astype(np.int64)
+        np.clip(k, 0, M - 1, out=k)
+        frac = tau - k
+        flat = data.reshape(M, -1)
+        idx = ys * stream.sensor_width + xs
+        np.add.at(flat, (k, idx), ps * (1.0 - frac))
+        hi = k + 1
+        valid = hi < M
+        np.add.at(flat, (hi[valid], idx[valid]), ps[valid] * frac[valid])
+    return VoxelGrid(bins=M, t0=float(t0), t1=float(t1), data=data)
+
+
+def build_tpr(stream: EventStream, center_t: float, half_window: float,
+              levels: int, moments_per_level: int, attenuation: float) -> TemporalPyramid:
+    """Stack L nested voxel grids around center_t into L x M_p x H x W.
+
+    Level l (1-indexed) covers the closed window
+    [center_t - half_window/r^l, center_t + half_window/r^l].
+    """
+    if levels < 1:
+        raise InvalidInputError("levels must be >= 1")
+    if moments_per_level < 1:
+        raise InvalidInputError("moments_per_level must be >= 1")
+    if attenuation <= 1:
+        raise InvalidInputError("attenuation r must exceed 1")
+    if half_window <= 0:
+        raise InvalidInputError("half_window must be positive")
+    if 2.0 * half_window / float(attenuation) ** levels < 1.0:
+        raise InvalidInputError(
+            "finest level window narrower than 1 microsecond (granularity "
+            "exceeds the timestamp clock)")
+    planes = []
+    for level in range(1, levels + 1):
+        h = half_window / float(attenuation) ** level
+        grid = build_voxel_grid(stream, moments_per_level,
+                                center_t - h, center_t + h)
+        planes.append(grid.data)
+    return TemporalPyramid(
+        levels=levels,
+        moments_per_level=moments_per_level,
+        attenuation=float(attenuation),
+        center_t=float(center_t),
+        half_window=float(half_window),
+        data=np.stack(planes, axis=0),
+    )
 
 
 def reference_pipeline_forward(frames, stream, s, times, config, params):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -309,3 +310,34 @@ class TestErrorCodes:
         assert main(["tpr", str(events), "--L", "7", "--Mp", "2", "--r", "3",
                      "--half-window", "1/1000000",
                      "-o", str(tmp_path / "t.tns")]) == 4
+
+
+class TestOutputDigest:
+    """SHA-256 of the CLI's output bytes for one fixed config.
+
+    Any intended change to simulated events or to pipeline output values
+    must update these digests in the same change and say so.
+    """
+
+    EVENTS = "2fdab55685e25597a6becd630b6bb68976a2646661c6af6315dd02394581f8cf"
+    PIPELINE = {
+        "out_000.ppm": "68c9b706688a3655530c40ee5b773568ccd977ceb4cdff7303dea7cdfe064f30",
+        "out_001.ppm": "76ad62b5c0bfbe46eb64916d92064ac6f0a232c12205091b3f97920c0be3e7f3",
+        "out_002.ppm": "f03d0ac3eb6764af69dd80990ec6fae40efb68bcddf23bf7b09a5431d0198aed",
+        "report.txt": "085c79173c03e2ae2ad80b6c12f133a3a337487d46fc3bc1b29690398ab4ff5c",
+    }
+
+    def test_simulate_and_pipeline_bytes(self, tmp_path):
+        def sha(path):
+            return hashlib.sha256(path.read_bytes()).hexdigest()
+
+        d = write_clip(tmp_path, rgb_ramp_clip(n=4, h=16, w=16))
+        events = tmp_path / "events.evt"
+        assert main(["simulate", str(d), "--threshold", "0.1",
+                     "-o", str(events)]) == 0
+        out = tmp_path / "out"
+        assert main(["pipeline", str(d), str(events), "--scale", "2.5",
+                     "--times", "0,0.3,1", "--seed", "4",
+                     "-o", str(out)]) == 0
+        assert sha(events) == self.EVENTS
+        assert {p.name: sha(p) for p in out.iterdir()} == self.PIPELINE
