@@ -67,9 +67,20 @@ class EventStream:
     def __len__(self) -> int:
         return len(self.t)
 
+    def window(self, t0, t1, lo_open: bool = False) -> slice:
+        """Events with t in [t0, t1], or in (t0, t1] if lo_open, by binary search.
+
+        The keys are the integer bounds that admit the same events (a float
+        key would convert all of `t`), clamped to just past the stream's ends.
+        """
+        if not t0 <= t1:  # also a NaN bound
+            return slice(0, 0)
+        t0, t1 = (min(max(v, self.t_begin - 1), self.t_end + 1) for v in (t0, t1))
+        first = math.floor(t0) + 1 if lo_open else math.ceil(t0)
+        return slice(*np.searchsorted(self.t, [first, math.floor(t1) + 1]).tolist())
+
     def __iter__(self) -> Iterator[Event]:
-        for i in range(len(self.t)):
-            yield Event(int(self.x[i]), int(self.y[i]), int(self.t[i]), int(self.p[i]))
+        return map(Event, self.x.tolist(), self.y.tolist(), self.t.tolist(), self.p.tolist())
 
     @classmethod
     def from_events(cls, events: Sequence[Event], sensor_width: int,
@@ -155,7 +166,7 @@ def simulate_events(frames: Sequence[IntensityFrame], C: float,
     logs = [log_view(f, eps) for f in frames]
     ref = logs[0].copy()
 
-    rec = []  # (t_us, pixel_index, -p, x, y, p) for canonical sorting
+    parts = []  # per segment: (t, y, x, p) of its events
     for (t0, l0), (t1, l1) in zip(zip(ts[:-1], logs[:-1]), zip(ts[1:], logs[1:])):
         dl = l1 - l0
         # number of threshold levels crossed per pixel during this segment
@@ -163,26 +174,20 @@ def simulate_events(frames: Sequence[IntensityFrame], C: float,
         n_cross[np.sign(dl) != np.sign(l1 - ref)] = 0
         n_cross[dl == 0] = 0
         ys, xs = np.nonzero(n_cross)
-        for yy, xx in zip(ys, xs):
-            pol = 1 if dl[yy, xx] > 0 else -1
-            for k in range(1, int(n_cross[yy, xx]) + 1):
-                target = ref[yy, xx] + pol * k * C
-                frac = (target - l0[yy, xx]) / dl[yy, xx]
-                t_ev = int(math.floor(t0 + frac * (t1 - t0)))
-                rec.append((t_ev, yy * w + xx, -pol, int(xx), int(yy), pol))
-            ref[yy, xx] += pol * n_cross[yy, xx] * C
+        n = n_cross[ys, xs]
+        pol = np.where(dl[ys, xs] > 0, 1, -1)
+        # one entry per event: its pixel crosses level k = 1..n past ref
+        ey, ex, ep = np.repeat(ys, n), np.repeat(xs, n), np.repeat(pol, n)
+        k = np.arange(len(ep)) - np.repeat(np.cumsum(n) - n, n) + 1
+        frac = (ref[ey, ex] + (ep * k) * C - l0[ey, ex]) / dl[ey, ex]
+        parts.append((np.floor(t0 + frac * (t1 - t0)), ey, ex, ep))
+        ref[ys, xs] += (pol * n) * C
 
-    rec.sort(key=lambda r: (r[0], r[1], r[2]))
-    return EventStream(
-        sensor_width=w,
-        sensor_height=h,
-        t_begin=ts[0],
-        t_end=ts[-1],
-        t=np.array([r[0] for r in rec], np.int64),
-        x=np.array([r[3] for r in rec], np.int32),
-        y=np.array([r[4] for r in rec], np.int32),
-        p=np.array([r[5] for r in rec], np.int8),
-    )
+    t, y, x, p = (np.concatenate(a) for a in zip(*parts))
+    order = np.lexsort((-p, y * w + x, t))
+    return EventStream(sensor_width=w, sensor_height=h, t_begin=ts[0], t_end=ts[-1],
+                       t=t[order].astype(np.int64), x=x[order].astype(np.int32),
+                       y=y[order].astype(np.int32), p=p[order].astype(np.int8))
 
 
 def polarity_integral(stream: EventStream, x: int, y: int,
@@ -192,8 +197,8 @@ def polarity_integral(stream: EventStream, x: int, y: int,
         raise InvalidInputError("pixel out of sensor bounds")
     if t0 > t1:
         raise InvalidInputError("t0 must not exceed t1")
-    mask = (stream.x == x) & (stream.y == y) & (stream.t > t0) & (stream.t <= t1)
-    return int(stream.p[mask].sum())
+    win = stream.window(t0, t1, lo_open=True)
+    return int(stream.p[win][(stream.x[win] == x) & (stream.y[win] == y)].sum())
 
 
 def reconstruct_log_intensity(frame: IntensityFrame, stream: EventStream,
@@ -207,8 +212,10 @@ def reconstruct_log_intensity(frame: IntensityFrame, stream: EventStream,
         raise InvalidInputError("contrast threshold C must be positive")
     if t < frame.timestamp:
         raise InvalidInputError("backward integration is not supported (t < frame time)")
+    if (frame.height, frame.width) != (stream.sensor_height, stream.sensor_width):
+        raise InvalidInputError("frame size differs from the event sensor size")
     base = log_view(frame, eps)
-    counts = np.zeros(base.shape, np.int64)
-    mask = (stream.t > frame.timestamp) & (stream.t <= t)
-    np.add.at(counts, (stream.y[mask], stream.x[mask]), stream.p[mask])
-    return base + C * counts
+    win = stream.window(frame.timestamp, t, lo_open=True)
+    counts = np.bincount(stream.y[win].astype(np.int64) * frame.width + stream.x[win],
+                         weights=stream.p[win], minlength=base.size)
+    return base + C * counts.reshape(base.shape)

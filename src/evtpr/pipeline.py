@@ -170,6 +170,8 @@ def pipeline_forward(frames: Sequence[IntensityFrame], stream: EventStream,
             raise InvalidInputError("pipeline inputs must be RGB frames")
         if (f.height, f.width) != (h, w):
             raise InvalidInputError("all frames must share dimensions")
+    if (stream.sensor_height, stream.sensor_width) != (h, w):
+        raise InvalidInputError("frame size differs from the event sensor size")
     ts = [f.timestamp for f in frames]
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise InvalidInputError("frame timestamps must be strictly increasing")

@@ -75,25 +75,20 @@ def build_voxel_grid(stream: EventStream, M: int, t0: float, t1: float) -> Voxel
         raise InvalidInputError("bin count M must be >= 1")
     if t0 >= t1:
         raise InvalidInputError("t0 must be less than t1")
-    data = np.zeros((M, stream.sensor_height, stream.sensor_width), np.float64)
-    mask = (stream.t >= t0) & (stream.t <= t1)
-    if mask.any():
-        t = stream.t[mask].astype(np.float64)
-        xs = stream.x[mask].astype(np.int64)
-        ys = stream.y[mask].astype(np.int64)
-        ps = stream.p[mask].astype(np.float64)
-        tau = M * (t - t0) / (t1 - t0) - 0.5
-        np.clip(tau, 0.0, M - 1.0, out=tau)
-        k = np.floor(tau).astype(np.int64)
-        np.clip(k, 0, M - 1, out=k)
-        frac = tau - k
-        flat = data.reshape(M, -1)
-        idx = ys * stream.sensor_width + xs
-        np.add.at(flat, (k, idx), ps * (1.0 - frac))
-        hi = k + 1
-        valid = hi < M
-        np.add.at(flat, (hi[valid], idx[valid]), ps[valid] * frac[valid])
-    return VoxelGrid(bins=M, t0=float(t0), t1=float(t1), data=data)
+    win = stream.window(t0, t1)
+    p = stream.p[win]
+    tau = np.clip(M * (stream.t[win] - float(t0)) / (t1 - t0) - 0.5, 0.0, M - 1.0)
+    k = np.floor(tau).astype(np.int64)
+    frac = tau - k
+    hw = stream.sensor_height * stream.sensor_width
+    cell = k * hw + stream.y[win].astype(np.int64) * stream.sensor_width + stream.x[win]
+    # lower taps, then upper taps (k < M-1), each in event order, summed in order
+    up = k < M - 1
+    data = np.bincount(np.concatenate([cell, cell[up] + hw]),
+                       weights=np.concatenate([p * (1.0 - frac), (p * frac)[up]]),
+                       minlength=M * hw).astype(np.float64, copy=False)  # int if empty
+    return VoxelGrid(bins=M, t0=float(t0), t1=float(t1),
+                     data=data.reshape(M, stream.sensor_height, stream.sensor_width))
 
 
 def build_tpr(stream: EventStream, center_t: float, half_window: float,

@@ -216,3 +216,17 @@ class TestSimulate:
                 for i, f in enumerate(frames)]
         got = simulate_events(held, C=0.15, eps=1e-2)
         assert_same_stream(got, reference.simulate_events(held, C=0.15, eps=1e-2))
+
+    def test_opposite_polarities_in_one_microsecond(self):
+        # a rise of exactly 2C ends on a frame time, then a fall crosses
+        # within the next microsecond: +1 and -1 share (t, pixel), and the
+        # canonical order puts the positive event first
+        C, eps = 0.2, 1e-3
+        top = np.log(0.2 + eps) + 2 * C
+        values = [0.2, np.exp(top) - eps, np.exp(top - 1.5 * C) - eps]
+        frames = [IntensityFrame(timestamp=i, pixels=np.full((2, 3), v))
+                  for i, v in enumerate(values)]
+        got = simulate_events(frames, C=C)
+        assert_same_stream(got, reference.simulate_events(frames, C=C))
+        # pixel-major within a microsecond, then positive first
+        assert got.p[got.t == 1].tolist() == [1, -1] * 6

@@ -193,6 +193,13 @@ class TestReconstruct:
         with pytest.raises(InvalidInputError):
             reconstruct_log_intensity(frame_of(0.4, t=50), stream, 10, C=0.2)
 
+    @pytest.mark.parametrize("h,w", [(4, 4), (16, 16), (8, 4)])
+    def test_frame_must_match_sensor(self, h, w):
+        evs = [Event(7, 7, 10, 1)]
+        stream = EventStream.from_events(evs, 8, 8, 0, 100)
+        with pytest.raises(InvalidInputError, match="sensor size"):
+            reconstruct_log_intensity(frame_of(0.4, h=h, w=w), stream, 100, C=0.2)
+
     @pytest.mark.parametrize("C", [0.1, 0.2, 0.5])
     def test_round_trip_bound(self, C):
         frames = make_ramp_clip(h=16, w=16, n_frames=8)

@@ -103,3 +103,12 @@ class TestPipeline:
         params = init_pipeline_params(config, 0)
         with pytest.raises(InvalidInputError):
             pipeline_forward(frames, stream, 1.0, [0.5], config, params)
+
+    def test_event_sensor_must_match_frames(self):
+        # 16^2 frames with events from a 32^2 sensor
+        frames = toy_clip()
+        stream = simulate_events(toy_clip(h=32, w=32), C=0.2)
+        config = toy_config()
+        params = init_pipeline_params(config, 0)
+        with pytest.raises(InvalidInputError, match="sensor size"):
+            pipeline_forward(frames, stream, 1.0, [0.5], config, params)
