@@ -40,15 +40,18 @@ class UsageError(Exception):
     pass
 
 
+def _parse_fraction(text: str, what: str) -> Fraction:
+    """A decimal ('0.5') or exact rational ('1/3')."""
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError("cannot parse %s %r" % (what, text)) from exc
+
+
 def _parse_rational(text: str) -> Fraction:
     """Seconds as a decimal ('0.5', '0.5s') or exact rational ('1/3')."""
     text = text.strip()
-    if text.endswith("s"):
-        text = text[:-1]
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError("cannot parse time value %r" % text) from exc
+    return _parse_fraction(text[:-1] if text.endswith("s") else text, "time value")
 
 
 def _default_threads() -> int:
@@ -104,8 +107,9 @@ def cmd_voxelize(args) -> int:
 
 def cmd_tpr(args) -> int:
     half_window_s = _parse_rational(args.half_window)
+    ratio = _parse_fraction(args.ratio, "--r")
     spec = representations.tpr_granularity(half_window_s, args.levels,
-                                           args.moments, Fraction(args.ratio))
+                                           args.moments, ratio)
     if args.print_granularity:
         print("%s s" % spec.delta_t)
     if args.output:
@@ -116,7 +120,7 @@ def cmd_tpr(args) -> int:
             center = (stream.t_begin + stream.t_end) / 2.0
         pyramid = representations.build_tpr(
             stream, center, float(half_window_s) * 1e6,
-            args.levels, args.moments, float(Fraction(args.ratio)))
+            args.levels, args.moments, float(ratio))
         io_formats.write_tensor(pyramid.data, args.output)
         print("tpr dims %s -> %s" % (list(pyramid.data.shape), args.output))
     return EXIT_OK
@@ -225,7 +229,7 @@ def cmd_bench(args) -> int:
         elif not np.array_equal(result, out.data):
             raise NumericError("bench repeats produced different representations")
     med = statistics.median(elapsed)
-    n_events = len(io_formats.read_events(args.events))
+    n_events = len(stream)
     print("events: %d" % n_events)
     print("median_seconds: %.6f" % med)
     print("events_per_second: %.1f" % (n_events / med if med > 0 else float("inf")))
@@ -339,7 +343,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except FormatError as exc:

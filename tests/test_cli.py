@@ -341,3 +341,35 @@ class TestOutputDigest:
                      "-o", str(out)]) == 0
         assert sha(events) == self.EVENTS
         assert {p.name: sha(p) for p in out.iterdir()} == self.PIPELINE
+
+
+class TestMoreErrorCodes:
+    @pytest.mark.parametrize("ratio", ["abc", "1/0", ""])
+    def test_unparseable_ratio_is_usage_error(self, ratio, capsys):
+        assert main(["tpr", "--L", "3", "--Mp", "2", "--r", ratio,
+                     "--half-window", "0.5s", "--print-granularity"]) == 2
+        assert "--r" in capsys.readouterr().err
+
+    def test_directory_as_event_file_is_usage_error(self, tmp_path):
+        assert main(["voxelize", str(tmp_path), "--bins", "3",
+                     "-o", str(tmp_path / "g.tns")]) == 2
+
+    def test_reconstruct_frame_smaller_than_sensor(self, tmp_path):
+        d = write_clip(tmp_path, make_ramp_clip(h=8, w=8, n_frames=4))
+        events = tmp_path / "events.evt"
+        assert main(["simulate", str(d), "--threshold", "0.2",
+                     "-o", str(events)]) == 0
+        small = tmp_path / "small.pgm"
+        write_frame(np.full((4, 4), 0.5), str(small))
+        assert main(["reconstruct", str(small), str(events),
+                     "--frame-time", "0", "--at", "2000", "--threshold", "0.2",
+                     "-o", str(tmp_path / "r.pgm")]) == 4
+
+    def test_pipeline_frames_smaller_than_sensor(self, tmp_path):
+        big = write_clip(tmp_path, rgb_ramp_clip(n=4, h=32, w=32), name="big")
+        small = write_clip(tmp_path, rgb_ramp_clip(n=4, h=16, w=16), name="small")
+        events = tmp_path / "events.evt"
+        assert main(["simulate", str(big), "--threshold", "0.2",
+                     "-o", str(events)]) == 0
+        assert main(["pipeline", str(small), str(events), "--scale", "1",
+                     "--times", "0.5", "-o", str(tmp_path / "out")]) == 4
