@@ -3,6 +3,13 @@
 Deterministic event generation from frame sequences (threshold crossings of
 the piecewise-linear log-intensity signal) and log-intensity reconstruction
 by integrating event polarities.
+
+An `EventStream` holds its events as parallel arrays sorted by timestamp,
+and `EventStream.window` is the one place that decides which events lie in
+a time window: a binary search on the sorted timestamps. Reconstruction and
+`polarity_integral` integrate over the half-open window (t0, t1]; the voxel
+grid and temporal pyramid in `representations` use the closed [t0, t1].
+Reconstruction requires the keyframe to have the sensor's size.
 """
 
 from __future__ import annotations
@@ -185,9 +192,16 @@ def simulate_events(frames: Sequence[IntensityFrame], C: float,
 
     t, y, x, p = (np.concatenate(a) for a in zip(*parts))
     order = np.lexsort((-p, y * w + x, t))
-    return EventStream(sensor_width=w, sensor_height=h, t_begin=ts[0], t_end=ts[-1],
-                       t=t[order].astype(np.int64), x=x[order].astype(np.int32),
-                       y=y[order].astype(np.int32), p=p[order].astype(np.int8))
+    return EventStream(
+        sensor_width=w,
+        sensor_height=h,
+        t_begin=ts[0],
+        t_end=ts[-1],
+        t=t[order].astype(np.int64),
+        x=x[order].astype(np.int32),
+        y=y[order].astype(np.int32),
+        p=p[order].astype(np.int8),
+    )
 
 
 def polarity_integral(stream: EventStream, x: int, y: int,

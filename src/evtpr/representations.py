@@ -5,6 +5,11 @@ with a bilinear (triangular) kernel. The temporal pyramid stacks L nested
 windows around a center timestamp, each 1/r the span of the previous, each
 voxelized into M_p bins. Finest granularity: delta_t = 2*half_window /
 (M_p * r^L).
+
+Both take the events of the closed window [t0, t1] from
+`EventStream.window`, a binary search on the sorted timestamps, so a grid
+or pyramid level costs O(log N + events in its window), and scatter them
+with one `np.bincount`.
 """
 
 from __future__ import annotations
@@ -77,16 +82,19 @@ def build_voxel_grid(stream: EventStream, M: int, t0: float, t1: float) -> Voxel
         raise InvalidInputError("t0 must be less than t1")
     win = stream.window(t0, t1)
     p = stream.p[win]
-    tau = np.clip(M * (stream.t[win] - float(t0)) / (t1 - t0) - 0.5, 0.0, M - 1.0)
+    tau = M * (stream.t[win] - float(t0)) / (t1 - t0) - 0.5
+    np.clip(tau, 0.0, M - 1.0, out=tau)
     k = np.floor(tau).astype(np.int64)
     frac = tau - k
     hw = stream.sensor_height * stream.sensor_width
     cell = k * hw + stream.y[win].astype(np.int64) * stream.sensor_width + stream.x[win]
-    # lower taps, then upper taps (k < M-1), each in event order, summed in order
+    # lower taps, then upper taps (k < M-1), each in event order: bincount
+    # adds in input order, so this fixes every cell's float sum; given no
+    # input it returns integer zeros
     up = k < M - 1
     data = np.bincount(np.concatenate([cell, cell[up] + hw]),
                        weights=np.concatenate([p * (1.0 - frac), (p * frac)[up]]),
-                       minlength=M * hw).astype(np.float64, copy=False)  # int if empty
+                       minlength=M * hw).astype(np.float64, copy=False)
     return VoxelGrid(bins=M, t0=float(t0), t1=float(t1),
                      data=data.reshape(M, stream.sensor_height, stream.sensor_width))
 
