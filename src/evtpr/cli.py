@@ -3,7 +3,8 @@ pipeline, metrics, bench.
 
 Exit codes: 0 success, 2 usage error, 3 format error, 4 numeric/contract
 violation. All randomness flows from --seed; outputs are reproducible from
-(subcommand, flags, seed). EVTPR_THREADS provides the --threads default.
+(subcommand, flags, seed). EVTPR_THREADS provides the --threads default;
+without either, the pipeline uses the cores this process may run on.
 """
 
 from __future__ import annotations
@@ -54,14 +55,16 @@ def _parse_rational(text: str) -> Fraction:
     return _parse_fraction(text[:-1] if text.endswith("s") else text, "time value")
 
 
-def _default_threads() -> int:
-    env = os.environ.get("EVTPR_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+def _thread_count(text: str) -> int:
+    """--threads / EVTPR_THREADS: a positive integer, else exit 2 at parse time."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            "must be a positive integer (from --threads or EVTPR_THREADS), got %r" % text)
+    return value
 
 
 def _load_clip(frames_dir: str, timestamps: str | None) -> list[IntensityFrame]:
@@ -241,9 +244,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="evtpr",
         description="Event-stream representations and forward decoding pipeline")
-    parser.add_argument("--threads", type=int, default=_default_threads(),
-                        help="reserved and ignored: execution is serial "
-                             "(outputs are identical for any value)")
+    # argparse converts a string default with `type` too, so a bad
+    # EVTPR_THREADS is a usage error exactly like a bad --threads
+    parser.add_argument("--threads", type=_thread_count,
+                        default=os.environ.get("EVTPR_THREADS") or None,
+                        help="threads for the pipeline's attention and decoder "
+                             "blocks (default: EVTPR_THREADS, else the usable "
+                             "cores); blocks are fixed, so outputs are "
+                             "byte-identical for any value; BLAS runs one "
+                             "thread unless OPENBLAS_NUM_THREADS, "
+                             "OMP_NUM_THREADS or MKL_NUM_THREADS is set")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate events from a frame clip")

@@ -8,13 +8,23 @@ no training, no hidden state. STEB arithmetic is float32 end to end,
 layer norm, softmax and GELU included (only the layer-norm mean and the
 softmax row-sum check accumulate in float64); tests/reference.py keeps the
 float64-internal originals, and the outputs agree with them to 1e-5.
+
+The STEBs and the decoder split their work into fixed-size blocks,
+_STEB_CHUNK attention windows or _DECODE_CHUNK queries, and run them on
+`threads` threads (the caller and threads - 1 pool workers). Block
+boundaries are module constants and never depend on `threads`, so every
+output is byte-identical for any thread count. BLAS is kept to one thread
+per caller (see evtpr/__init__.py), so the blocks do not oversubscribe
+the cores.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -187,6 +197,47 @@ def cyclic_shift(x: np.ndarray, offset: int) -> np.ndarray:
     return np.roll(x, (offset, offset), axis=(-2, -1))
 
 
+def _map_blocks(fn: Callable[[int], None], n: int, size: int, threads: int) -> None:
+    """Call fn(start) for each start in range(0, n, size) on `threads` threads.
+
+    The calling thread and threads - 1 pool workers pull starts from one
+    shared iterator, so blocks are balanced however long each takes. Once
+    a block raises, no new block starts; the first exception propagates
+    unchanged after every worker has finished, so no thread outlives the
+    call.
+    """
+    if threads < 1:
+        raise InvalidInputError("threads must be >= 1")
+    starts = iter(range(0, n, size))
+    if threads == 1 or n <= size:
+        for start in starts:
+            fn(start)
+        return
+    lock = threading.Lock()
+    errors: list[BaseException] = []
+
+    def drain():
+        while True:
+            with lock:
+                start = None if errors else next(starts, None)
+            if start is None:
+                return
+            try:
+                fn(start)
+            except BaseException as exc:
+                with lock:
+                    errors.append(exc)
+                return
+
+    workers = min(threads, -(-n // size)) - 1
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for _ in range(workers):
+            pool.submit(drain)
+        drain()
+    if errors:
+        raise errors[0]
+
+
 # ---------------------------------------------------------------------------
 # core kernels
 
@@ -299,20 +350,38 @@ def multi_head_self_attention(x: np.ndarray, params: AttentionParams,
     return out
 
 
+# Attention windows per STEB block. A block's largest temporaries, the
+# attention scores and the MLP hidden layer, stay near 1 MB at c_r = 16 and
+# M = 4, so they fit in cache and peak memory does not grow with the input.
+_STEB_CHUNK = 512
+
+
 def steb_forward(x: np.ndarray, params: StebParams, M: int,
                  shifted: bool = False,
-                 row_sum_dev: Optional[list] = None) -> np.ndarray:
+                 row_sum_dev: Optional[list] = None,
+                 threads: int = 1) -> np.ndarray:
     """Shift -> partition -> LN+windowed MHSA (residual) -> LN+MLP (residual)
-    -> unpartition -> inverse shift. Output shape equals input shape."""
+    -> unpartition -> inverse shift. Output shape equals input shape.
+
+    Windows are independent, so the four middle steps run over blocks of
+    _STEB_CHUNK windows on `threads` threads, each block writing its rows
+    of one preallocated token tensor."""
     l, c, h, w = x.shape
     if shifted:
         x = cyclic_shift(x, -(M // 2))
     tokens = window_partition(x, M)
-    y = tokens + multi_head_self_attention(
-        layer_norm(tokens, params.norm1.gamma, params.norm1.beta),
-        params.attn, row_sum_dev=row_sum_dev)
-    y = y + mlp_forward(layer_norm(y, params.norm2.gamma, params.norm2.beta),
-                        params.mlp)
+    y = np.empty(tokens.shape, np.result_type(tokens.dtype, np.float32))
+
+    def block(start: int) -> None:
+        t = tokens[start:start + _STEB_CHUNK]
+        out = y[start:start + _STEB_CHUNK]
+        np.add(t, multi_head_self_attention(
+            layer_norm(t, params.norm1.gamma, params.norm1.beta),
+            params.attn, row_sum_dev=row_sum_dev), out=out)
+        out += mlp_forward(layer_norm(out, params.norm2.gamma, params.norm2.beta),
+                           params.mlp)
+
+    _map_blocks(block, len(tokens), _STEB_CHUNK, threads)
     out = window_unpartition(y, M, l, h, w)
     if shifted:
         out = cyclic_shift(out, M // 2)
@@ -373,13 +442,15 @@ class RegionalParams:
 
 
 def regional_extractor_forward(tpr: np.ndarray, params: RegionalParams, M: int,
-                               row_sum_dev: Optional[list] = None) -> np.ndarray:
+                               row_sum_dev: Optional[list] = None,
+                               threads: int = 1) -> np.ndarray:
     """TPR L x M_p x H x W -> features L x C_r x H x W via 1x1 lift + STEBs."""
     if tpr.ndim != 4:
         raise InvalidInputError("TPR tensor must be L x M_p x H x W")
     x = conv1x1(tpr, params.lift)
     for i, block in enumerate(params.blocks):
-        x = steb_forward(x, block, M, shifted=bool(i % 2), row_sum_dev=row_sum_dev)
+        x = steb_forward(x, block, M, shifted=bool(i % 2), row_sum_dev=row_sum_dev,
+                         threads=threads)
     return x
 
 
@@ -395,7 +466,8 @@ class HolisticParams:
 
 def holistic_extractor_forward(frames: np.ndarray, segments: Sequence[np.ndarray],
                                params: HolisticParams, M: int,
-                               row_sum_dev: Optional[list] = None) -> np.ndarray:
+                               row_sum_dev: Optional[list] = None,
+                               threads: int = 1) -> np.ndarray:
     """Multi-scale encoder/decoder over lifted frames and event segments.
 
     frames: N_in x 3 x H x W; segments: N_in - 1 voxel grids, each
@@ -419,11 +491,12 @@ def holistic_extractor_forward(frames: np.ndarray, segments: Sequence[np.ndarray
 
     skips = []
     for block, down in zip(params.encoder_blocks, params.downs):
-        x = steb_forward(x, block, M, row_sum_dev=row_sum_dev)
+        x = steb_forward(x, block, M, row_sum_dev=row_sum_dev, threads=threads)
         skips.append(x)
         x = downsample_half(x, down)
     for block, up, skip in zip(params.decoder_blocks, params.ups, reversed(skips)):
-        x = steb_forward(x, block, M, shifted=True, row_sum_dev=row_sum_dev)
+        x = steb_forward(x, block, M, shifted=True, row_sum_dev=row_sum_dev,
+                         threads=threads)
         x = upsample_double(x, up) + skip
     return x
 
@@ -486,7 +559,7 @@ _DECODE_CHUNK = 4096
 
 
 def spatial_decode(feature: np.ndarray, queries: np.ndarray, s: float,
-                   decoder: MlpParams) -> np.ndarray:
+                   decoder: MlpParams, threads: int = 1) -> np.ndarray:
     """Decode RGB at continuous (x, y) query points over a C x h x w grid.
 
     Cell (i, j) has its center at (j + 0.5, i + 0.5); the grid's continuous
@@ -500,7 +573,8 @@ def spatial_decode(feature: np.ndarray, queries: np.ndarray, s: float,
     h*w cells, and a per-corner part, dx W1[:, C] + dy W1[:, C+1], added to
     the gathered row of the corner's cell. Queries are decoded in chunks of
     _DECODE_CHUNK, the four corners of a chunk as one batch through the
-    remaining layers, so memory stays bounded at any output size.
+    remaining layers, so memory stays bounded at any output size. Chunks
+    share the per-cell table and run on `threads` threads.
     """
     if s < 1:
         raise InvalidInputError("scale must be >= 1")
@@ -523,7 +597,8 @@ def spatial_decode(feature: np.ndarray, queries: np.ndarray, s: float,
 
     n = q.shape[0]
     out = np.empty((n, decoder.out_dim), np.float32)
-    for start in range(0, n, _DECODE_CHUNK):
+
+    def block(start: int) -> None:
         qx, qy = q[start:start + _DECODE_CHUNK].T
         j0 = np.clip(np.floor(qx - 0.5).astype(np.int64), 0, w - 1)
         i0 = np.clip(np.floor(qy - 0.5).astype(np.int64), 0, h - 1)
@@ -547,6 +622,8 @@ def spatial_decode(feature: np.ndarray, queries: np.ndarray, s: float,
         hidden += np.stack([dx.ravel(), dy.ravel()], axis=1).astype(np.float32) @ w_offset
         rgb = mlp_forward(first_act(hidden), rest).reshape(4, len(qx), -1)
         out[start:start + len(qx)] = np.einsum("kn,knc->nc", weights.astype(np.float32), rgb)
+
+    _map_blocks(block, n, _DECODE_CHUNK, threads)
     if not np.all(np.isfinite(out)):
         raise NumericError("non-finite decoded values")
     return out

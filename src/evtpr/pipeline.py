@@ -5,6 +5,7 @@ initialization and a shape/invariant run report."""
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -140,10 +141,17 @@ def charbonnier_loss(pred: np.ndarray, gt: np.ndarray, eps: float = 1e-3) -> flo
     return float(np.mean(np.sqrt(d * d + eps * eps)))
 
 
+def _available_cores() -> int:
+    """Cores this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def pipeline_forward(frames: Sequence[IntensityFrame], stream: EventStream,
                      s: float, times: Sequence[float], config: PipelineConfig,
                      params: PipelineParams,
-                     threads: int = 1) -> tuple[list[np.ndarray], RunReport]:
+                     threads: int | None = None) -> tuple[list[np.ndarray], RunReport]:
     """Decode output frames at normalized times `times` and scale `s`.
 
     The holistic extractor runs exactly once; the regional extractor,
@@ -151,13 +159,21 @@ def pipeline_forward(frames: Sequence[IntensityFrame], stream: EventStream,
     timestamp. Fusion, the a(t) gating and compression are linear, so per
     timestamp they run as one folded 1x1 conv (`timestamp_head`) on
     F_g + F_t, and the C_t-channel fused tensor is never built.
-    `threads` is reserved and ignored: execution is serial, so outputs are
-    identical for any value >= 1.
+
+    Stages run one after another. Inside the STEBs and the decoder, fixed
+    blocks of attention windows or queries run on `threads` threads (None:
+    the cores this process may use). Block boundaries do not depend on
+    `threads`, so outputs are byte-identical for any value >= 1. Importing
+    evtpr pins BLAS to one thread unless OPENBLAS_NUM_THREADS,
+    OMP_NUM_THREADS or MKL_NUM_THREADS is already set, so BLAS does not
+    oversubscribe the cores under the blocks.
     """
     if len(frames) != config.n_in:
         raise InvalidInputError("frame count must equal config.n_in")
     if s < 1:
         raise InvalidInputError("scale must be >= 1")
+    if threads is None:
+        threads = _available_cores()
     if threads < 1:
         raise InvalidInputError("threads must be >= 1")
     times = [float(t) for t in times]
@@ -186,7 +202,8 @@ def pipeline_forward(frames: Sequence[IntensityFrame], stream: EventStream,
         [np.moveaxis(f.pixels, -1, 0) for f in frames]).astype(np.float32)
 
     f_g = holistic_extractor_forward(frame_tensor, segments, params.holistic,
-                                     config.window_size, row_sum_dev=row_dev)
+                                     config.window_size, row_sum_dev=row_dev,
+                                     threads=threads)
     report.holistic_calls += 1
     report.stage_shapes["holistic_features"] = tuple(f_g.shape)
     f_g_pooled = f_g.mean(axis=0)  # collapse the level axis for fusion
@@ -207,12 +224,12 @@ def pipeline_forward(frames: Sequence[IntensityFrame], stream: EventStream,
                         config.tpr_moments, config.tpr_ratio)
         f_t_l = regional_extractor_forward(tpr.data.astype(np.float32),
                                            params.regional, config.window_size,
-                                           row_sum_dev=row_dev)
+                                           row_sum_dev=row_dev, threads=threads)
         report.stage_shapes["regional_features"] = tuple(f_t_l.shape)
         head = timestamp_head(t, params.fuse, params.temporal)
         r_ts = fuse_features(f_g_pooled, f_t_l.mean(axis=0), head)
         report.stage_shapes["temporal_embedded"] = tuple(r_ts.shape)
-        rgb = spatial_decode(r_ts, queries, s, params.decoder)
+        rgb = spatial_decode(r_ts, queries, s, params.decoder, threads=threads)
         frame = np.clip(rgb.reshape(out_h, out_w, 3), 0.0, 1.0)
         outputs.append(frame)
     report.softmax_row_sum_max_dev = max(row_dev) if row_dev else 0.0

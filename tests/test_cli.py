@@ -210,6 +210,16 @@ class TestPipelineCmd:
         for name in ("out_000.ppm", "out_001.ppm", "out_002.ppm", "report.txt"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_threads_from_env(self, setup, tmp_path, monkeypatch):
+        d, events = setup
+        a, b = tmp_path / "a", tmp_path / "b"
+        args = ["pipeline", str(d), str(events), "--scale", "2",
+                "--times", "0.5", "--seed", "3"]
+        assert main(["--threads", "1"] + args + ["-o", str(a)]) == 0
+        monkeypatch.setenv("EVTPR_THREADS", "3")
+        assert main(args + ["-o", str(b)]) == 0
+        assert (a / "out_000.ppm").read_bytes() == (b / "out_000.ppm").read_bytes()
+
 
 class TestMetricsCmd:
     def test_identical_dirs(self, tmp_path):
@@ -349,6 +359,30 @@ class TestMoreErrorCodes:
         assert main(["tpr", "--L", "3", "--Mp", "2", "--r", ratio,
                      "--half-window", "0.5s", "--print-granularity"]) == 2
         assert "--r" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-1", "abc"])
+    def test_bad_threads_flag_is_usage_error(self, threads, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--threads", threads, "plan", "--frames", "10", "--nin", "4",
+                  "--skip", "1", "-o", str(tmp_path / "m.txt")])
+        assert info.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "m.txt").exists()
+
+    @pytest.mark.parametrize("env", ["0", "-2", "abc"])
+    def test_bad_threads_env_is_usage_error(self, env, tmp_path, monkeypatch,
+                                            capsys):
+        monkeypatch.setenv("EVTPR_THREADS", env)
+        with pytest.raises(SystemExit) as info:
+            main(["plan", "--frames", "10", "--nin", "4", "--skip", "1",
+                  "-o", str(tmp_path / "m.txt")])
+        assert info.value.code == 2
+        assert "EVTPR_THREADS" in capsys.readouterr().err
+
+    def test_threads_flag_overrides_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("EVTPR_THREADS", "abc")
+        assert main(["--threads", "2", "plan", "--frames", "10", "--nin", "4",
+                     "--skip", "1", "-o", str(tmp_path / "m.txt")]) == 0
 
     def test_directory_as_event_file_is_usage_error(self, tmp_path):
         assert main(["voxelize", str(tmp_path), "--bins", "3",

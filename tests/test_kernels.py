@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,9 @@ import pytest
 
 from evtpr.errors import InvalidInputError
 from evtpr.kernels import (
+    _DECODE_CHUNK,
+    _STEB_CHUNK,
+    _map_blocks,
     AttentionParams,
     ConvParams,
     LayerNormParams,
@@ -232,6 +236,81 @@ class TestSteb:
             params.mlp)
         ref = cyclic_shift(window_unpartition(tokens, 4, 1, 4, 4), 2)
         assert np.array_equal(out, ref)  # bit-identical
+
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_blocks_byte_identical_across_thread_counts(self, shifted):
+        # 5 x 16 x 16 = 1280 windows: two full blocks and a half one
+        rng = np.random.default_rng(40)
+        params = _init_steb(rng, 8, 2, 2)
+        x = rng.standard_normal((5, 8, 64, 64)).astype(np.float32)
+        assert 2 * _STEB_CHUNK < 5 * 16 * 16 < 3 * _STEB_CHUNK
+        outs = [steb_forward(x, params, 4, shifted=shifted, threads=t)
+                for t in (1, 2, 3)]
+        assert np.array_equal(outs[0], outs[1])
+        assert np.array_equal(outs[0], outs[2])
+        # every block, the ragged tail included, against one unblocked pass
+        y = cyclic_shift(x, -2) if shifted else x
+        tokens = window_partition(y, 4)
+        tokens = tokens + multi_head_self_attention(
+            layer_norm(tokens, params.norm1.gamma, params.norm1.beta),
+            params.attn)
+        tokens = tokens + mlp_forward(
+            layer_norm(tokens, params.norm2.gamma, params.norm2.beta),
+            params.mlp)
+        ref = window_unpartition(tokens, 4, 5, 64, 64)
+        if shifted:
+            ref = cyclic_shift(ref, 2)
+        assert np.allclose(outs[0], ref, rtol=0, atol=1e-5)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_peak_memory_bounded(self, threads):
+        # 3 x 16 x 128 x 128 is 3 MB; unblocked, the attention and MLP
+        # temporaries over all 3072 windows peaked at 38 MB
+        rng = np.random.default_rng(42)
+        params = _init_steb(rng, 16, 2, 2)
+        x = rng.standard_normal((3, 16, 128, 128)).astype(np.float32)
+        steb_forward(x[:, :, :4, :4], params, 4)  # lazy imports, untraced
+        tracemalloc.start()
+        try:
+            steb_forward(x, params, 4, threads=threads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+
+
+class TestMapBlocks:
+    @pytest.mark.parametrize("threads", [1, 2, 3, 8])
+    @pytest.mark.parametrize("n", [0, 1, 5, 6, 23])
+    def test_each_start_once(self, threads, n):
+        seen = []
+        lock = threading.Lock()
+
+        def fn(start):
+            with lock:
+                seen.append(start)
+
+        _map_blocks(fn, n, 3, threads)
+        assert sorted(seen) == list(range(0, n, 3))
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_first_exception_propagates_unchanged(self, threads):
+        raised = ValueError("block 4")
+        before = threading.active_count()
+
+        def fn(start):
+            if start == 4:
+                raise raised
+
+        with pytest.raises(ValueError) as info:
+            _map_blocks(fn, 10, 1, threads)
+        assert info.value is raised
+        assert threading.active_count() == before
+
+    def test_threads_below_one_rejected(self):
+        with pytest.raises(InvalidInputError):
+            _map_blocks(lambda start: None, 10, 1, 0)
 
 
 class TestResampling:
@@ -558,6 +637,23 @@ class TestSpatialDecode:
             out = spatial_decode(feature, q, 1.5, decoder)
             ref = naive_spatial_decode(feature, q, decoder)
             assert np.allclose(out, ref, rtol=1e-5, atol=1e-5)
+
+    def test_blocks_byte_identical_across_thread_counts(self):
+        # 13517 queries: three full chunks and a ragged tail of 1229
+        rng = np.random.default_rng(43)
+        c, h, w = 6, 9, 11
+        n = 3 * _DECODE_CHUNK + 1229
+        decoder = _init_mlp(rng, [c + 2, 16, 16, 16, 3],
+                            ["relu", "relu", "relu", "none"])
+        feature = rng.standard_normal((c, h, w)).astype(np.float32)
+        q = np.column_stack([rng.uniform(0, w, n), rng.uniform(0, h, n)])
+        outs = [spatial_decode(feature, q, 2.0, decoder, threads=t)
+                for t in (1, 2, 3)]
+        assert np.array_equal(outs[0], outs[1])
+        assert np.array_equal(outs[0], outs[2])
+        # the tail is decoded like any other query
+        tail = spatial_decode(feature, q[-1229:], 2.0, decoder)
+        assert np.array_equal(outs[0][-1229:], tail)
 
     def test_query_outside_extent(self):
         decoder = _init_mlp(np.random.default_rng(30), [4, 4, 4, 4, 3],

@@ -1,9 +1,12 @@
+import threading
+
 import numpy as np
 import pytest
 
 from evtpr import (
     IntensityFrame,
     InvalidInputError,
+    NumericError,
     PipelineConfig,
     init_pipeline_params,
     pipeline_forward,
@@ -67,6 +70,46 @@ class TestPipeline:
                                 init_pipeline_params(config, 7), threads=4)
         for fa, fb in zip(a, b):
             assert np.array_equal(fa, fb)
+
+    def test_byte_identical_across_threads_over_several_blocks(self):
+        # 64^2: the regional STEBs see 3 x 16 x 16 = 768 windows (two
+        # blocks), the holistic ones 7 x 256, and s=2 decodes 4 query chunks
+        frames = toy_clip(h=64, w=64)
+        stream = simulate_events(frames, C=0.2)
+        config = toy_config()
+        params = init_pipeline_params(config, 7)
+        a, _ = pipeline_forward(frames, stream, 2.0, [0.25, 0.75], config,
+                                params, threads=1)
+        b, _ = pipeline_forward(frames, stream, 2.0, [0.25, 0.75], config,
+                                params, threads=2)
+        for fa, fb in zip(a, b):
+            assert np.array_equal(fa, fb)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_numeric_error_propagates_from_blocks(self, threads):
+        frames = toy_clip(h=64, w=64)
+        stream = simulate_events(frames, C=0.2)
+        config = toy_config()
+        params = init_pipeline_params(config, 7)
+        params.regional.lift.weight[0, 0] = np.nan
+        before = threading.active_count()
+        with pytest.raises(NumericError):
+            pipeline_forward(frames, stream, 1.0, [0.5], config, params,
+                             threads=threads)
+        assert threading.active_count() == before
+
+    def test_default_threads_match_one_thread(self):
+        frames = toy_clip()
+        stream = simulate_events(frames, C=0.2)
+        config = toy_config()
+        params = init_pipeline_params(config, 7)
+        a, _ = pipeline_forward(frames, stream, 2.0, [0.5], config, params)
+        b, _ = pipeline_forward(frames, stream, 2.0, [0.5], config, params,
+                                threads=1)
+        assert np.array_equal(a[0], b[0])
+        with pytest.raises(InvalidInputError):
+            pipeline_forward(frames, stream, 2.0, [0.5], config, params,
+                             threads=0)
 
     def test_different_seeds_differ(self):
         frames = toy_clip()

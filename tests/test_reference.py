@@ -39,14 +39,23 @@ def test_pipeline_matches_reference(config, side, s, times):
 
 
 def test_regional_extractor_matches_reference():
+    check_regional_extractor(32)
+
+
+def test_regional_extractor_matches_reference_over_several_blocks():
+    # 3 x 16 x 16 = 768 windows per STEB: one full block and a partial one
+    check_regional_extractor(64)
+
+
+def check_regional_extractor(side):
     # default c_r=16 on an L=3, M_p=2 TPR-shaped input
     config = PipelineConfig(n_in=4)
     params = init_pipeline_params(config, 5).regional
     rng = np.random.default_rng(17)
-    tpr = (rng.standard_normal((3, 2, 32, 32)) * 3.0).astype(np.float32)
+    tpr = (rng.standard_normal((3, 2, side, side)) * 3.0).astype(np.float32)
     out = regional_extractor_forward(tpr, params, config.window_size)
     ref = reference.regional_extractor_forward(tpr, params, config.window_size)
-    assert out.shape == ref.shape == (3, 16, 32, 32)
+    assert out.shape == ref.shape == (3, 16, side, side)
     assert np.abs(out - ref).max() <= TOL
 
 
