@@ -237,7 +237,6 @@ class TestSteb:
         ref = cyclic_shift(window_unpartition(tokens, 4, 1, 4, 4), 2)
         assert np.array_equal(out, ref)  # bit-identical
 
-
     @pytest.mark.parametrize("shifted", [False, True])
     def test_blocks_byte_identical_across_thread_counts(self, shifted):
         # 5 x 16 x 16 = 1280 windows: two full blocks and a half one
