@@ -116,6 +116,8 @@ def cmd_tpr(args) -> int:
     if args.print_granularity:
         print("%s s" % spec.delta_t)
     if args.output:
+        if args.events is None:
+            raise UsageError("tpr -o needs an events file")
         stream = io_formats.read_events(args.events)
         if args.center is not None:
             center = stream.t_begin + float(_parse_rational(args.center)) * 1e6
@@ -350,10 +352,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print("usage error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (UsageError, OSError) as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except FormatError as exc:

@@ -136,8 +136,8 @@ class IntensityFrame:
 
 def log_view(frame: IntensityFrame, eps: float = DEFAULT_EPS) -> np.ndarray:
     """ln(luma + eps) for every pixel; RGB frames go through the BT.601 luma."""
-    if eps <= 0:
-        raise InvalidInputError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise InvalidInputError("eps must be positive and finite")
     px = frame.pixels
     if px.ndim == 3:
         from .metrics import rgb_to_y
@@ -160,8 +160,8 @@ def simulate_events(frames: Sequence[IntensityFrame], C: float,
     """
     if len(frames) < 2:
         raise InvalidInputError("need at least two frames")
-    if C <= 0:
-        raise InvalidInputError("contrast threshold C must be positive")
+    if not 0 < C < math.inf:
+        raise InvalidInputError("contrast threshold C must be positive and finite")
     h, w = frames[0].height, frames[0].width
     for f in frames:
         if f.height != h or f.width != w:
@@ -222,8 +222,8 @@ def reconstruct_log_intensity(frame: IntensityFrame, stream: EventStream,
 
     output(x, y) = log_view(frame)(x, y) + C * sum of p over (frame.timestamp, t].
     """
-    if C <= 0:
-        raise InvalidInputError("contrast threshold C must be positive")
+    if not 0 < C < math.inf:
+        raise InvalidInputError("contrast threshold C must be positive and finite")
     if t < frame.timestamp:
         raise InvalidInputError("backward integration is not supported (t < frame time)")
     if (frame.height, frame.width) != (stream.sensor_height, stream.sensor_width):

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -205,6 +205,13 @@ def _map_blocks(fn: Callable[[int], None], n: int, size: int, threads: int) -> N
     a block raises, no new block starts; the first exception propagates
     unchanged after every worker has finished, so no thread outlives the
     call.
+
+    The caller runs blocks itself rather than only waiting on the pool, so
+    the pool has one thread fewer. A version whose caller only waited on
+    ThreadPoolExecutor.map raised the forward-only peak RSS of a 128x128
+    clip at s = 2 and 7 times from 141-154 MB to 168-171 MB (3 runs each,
+    2-core VM), likely through one more glibc malloc arena (not profiled
+    further).
     """
     if threads < 1:
         raise InvalidInputError("threads must be >= 1")
@@ -568,6 +575,15 @@ def spatial_decode(feature: np.ndarray, queries: np.ndarray, s: float,
     combined with weights proportional to the rectangle area spanned by the
     query and the diagonally opposite cell center (weights sum to 1).
 
+    Near the border a corner index is clamped to the grid, so within the
+    outer half cell both taps of an axis may be the same border cell. Each
+    area is a product of one |offset| factor per axis; where an axis's four
+    factors are all 0 (the query is on that clamped cell's centre line),
+    they are set to 1, their limit from either side. No other rule applies,
+    so the decoded field is continuous in (x, y), and a query on a cell
+    centre (every output pixel at s = 1) decodes that cell alone at offset
+    (0, 0).
+
     The decoder's first layer is linear in feature || offset, so it splits
     into a per-cell part, W1[:, :C] f + b1, computed once for each of the
     h*w cells, and a per-corner part, dx W1[:, C] + dy W1[:, C+1], added to
@@ -576,15 +592,15 @@ def spatial_decode(feature: np.ndarray, queries: np.ndarray, s: float,
     remaining layers, so memory stays bounded at any output size. Chunks
     share the per-cell table and run on `threads` threads.
     """
-    if s < 1:
-        raise InvalidInputError("scale must be >= 1")
+    if not 1 <= s < math.inf:
+        raise InvalidInputError("scale must be finite and >= 1")
     c, h, w = feature.shape
     if decoder.in_dim != c + 2:
         raise InvalidInputError("decoder input dim must be feature channels + 2")
     q = np.asarray(queries, np.float64)
     if q.ndim != 2 or q.shape[1] != 2:
         raise InvalidInputError("queries must be N x 2 (x, y)")
-    if np.any(q[:, 0] < 0) or np.any(q[:, 0] > w) or np.any(q[:, 1] < 0) or np.any(q[:, 1] > h):
+    if not np.all((q >= 0) & (q <= (w, h))):
         raise InvalidInputError("query outside the feature grid extent")
 
     w1 = decoder.weights[0]
@@ -608,15 +624,14 @@ def spatial_decode(feature: np.ndarray, queries: np.ndarray, s: float,
         cols = np.stack([j0, j1, j0, j1])
         dx = qx - (cols + 0.5)
         dy = qy - (rows + 0.5)
-        # corner k is weighted by the area to the opposite corner, 3 - k
-        weights = np.abs(dx[::-1] * dy[::-1])
-        total = weights.sum(axis=0)
-        degenerate = total <= 0
-        if np.any(degenerate):
-            # clamped corners collapsed; fall back to equal weighting
-            weights[:, degenerate] = 0.25
-            total[degenerate] = 1.0
-        weights /= total
+        # corner k is weighted by the area to the opposite corner, 3 - k, a
+        # product of per-axis factors; all-zero factors become 1 (docstring)
+        ax = np.abs(dx[::-1])
+        ay = np.abs(dy[::-1])
+        ax[:, ~ax.any(axis=0)] = 1.0
+        ay[:, ~ay.any(axis=0)] = 1.0
+        weights = ax * ay
+        weights /= weights.sum(axis=0)
 
         hidden = cell[(rows * w + cols).ravel()]
         hidden += np.stack([dx.ravel(), dy.ravel()], axis=1).astype(np.float32) @ w_offset

@@ -170,16 +170,18 @@ def pipeline_forward(frames: Sequence[IntensityFrame], stream: EventStream,
     """
     if len(frames) != config.n_in:
         raise InvalidInputError("frame count must equal config.n_in")
-    if s < 1:
-        raise InvalidInputError("scale must be >= 1")
+    if not 1 <= s < math.inf:
+        raise InvalidInputError("scale must be finite and >= 1")
     if threads is None:
         threads = _available_cores()
     if threads < 1:
         raise InvalidInputError("threads must be >= 1")
     times = [float(t) for t in times]
-    if any(t < 0.0 or t > 1.0 for t in times):
+    if not all(0.0 <= t <= 1.0 for t in times):
         raise InvalidInputError("all times must lie in [0, 1]")
     h, w = frames[0].height, frames[0].width
+    if not math.isfinite(s * max(h, w)):
+        raise InvalidInputError("scale %r overflows the output size" % s)
     config.validate_spatial(h, w)
     for f in frames:
         if f.channels != 3:

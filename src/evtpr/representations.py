@@ -14,6 +14,7 @@ with one `np.bincount`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -110,10 +111,10 @@ def build_tpr(stream: EventStream, center_t: float, half_window: float,
         raise InvalidInputError("levels must be >= 1")
     if moments_per_level < 1:
         raise InvalidInputError("moments_per_level must be >= 1")
-    if attenuation <= 1:
-        raise InvalidInputError("attenuation r must exceed 1")
-    if half_window <= 0:
-        raise InvalidInputError("half_window must be positive")
+    if not 1 < attenuation < math.inf:
+        raise InvalidInputError("attenuation r must be finite and exceed 1")
+    if not 0 < half_window < math.inf:
+        raise InvalidInputError("half_window must be positive and finite")
     if 2.0 * half_window / float(attenuation) ** levels < 1.0:
         raise InvalidInputError(
             "finest level window narrower than 1 microsecond (granularity "

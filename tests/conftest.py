@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from evtpr import EventStream, IntensityFrame
+from evtpr import EventStream, IntensityFrame, init_pipeline_params, simulate_events
 
 
 @pytest.fixture
@@ -36,3 +37,27 @@ def random_stream(rng, h=8, w=8, n=200, t_begin=0, t_end=100_000):
         y=rng.integers(0, h, size=n).astype(np.int32),
         p=rng.choice(np.array([-1, 1], np.int8), size=n),
     )
+
+
+@pytest.fixture(scope="module")
+def bright_pipeline():
+    """(frames, stream, config, params) whose decoded frames span [0, 1].
+
+    The seeded decoder's raw RGB varies by only ~0.03 around zero, so its
+    frames are near black and a digest sees few 8-bit levels. Here the last
+    layer is rescaled per channel, out -> gain * out + bias, with gain and
+    bias chosen so the toy clip's s = 1 output covers slightly more than
+    [0, 1] before clipping. `init_pipeline_params` is left as it is.
+    """
+    from test_pipeline import toy_clip, toy_config
+    frames = toy_clip()
+    config = toy_config()
+    params = init_pipeline_params(config, 0)
+    gain = np.array([120.0, 116.0, 300.0], np.float32)
+    bias = np.array([3.93, 0.09, 21.1], np.float32)
+    dec = params.decoder
+    decoder = dataclasses.replace(
+        dec, weights=dec.weights[:-1] + (dec.weights[-1] * gain[:, None],),
+        biases=dec.biases[:-1] + (dec.biases[-1] * gain + bias,))
+    return (frames, simulate_events(frames, C=0.2), config,
+            dataclasses.replace(params, decoder=decoder))

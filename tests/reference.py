@@ -7,7 +7,10 @@ The STEB kernels (`layer_norm`, `_softmax`, `_gelu`,
 production kernels were derived from, kept unchanged as the oracle: layer
 norm, softmax and GELU run internally in float64, every corner of every
 query runs the whole decoder MLP on feature || offset, and the fused
-C_t x H x W tensor is built explicitly. Window geometry and the resampling
+C_t x H x W tensor is built explicitly. The one later edit is the area
+weight on a clamped border cell's centre line in `spatial_decode`, which
+follows the same rule as production (the limit of the per-axis factors in
+place of an equal-weight fallback). Window geometry and the resampling
 convolutions are imported from production; they have not changed.
 The event path (`simulate_events`, `polarity_integral`,
 `reconstruct_log_intensity`, `build_voxel_grid`, `build_tpr`) is kept the
@@ -254,7 +257,8 @@ def spatial_decode(feature: np.ndarray, queries: np.ndarray, s: float,
     feat = feature.astype(np.float32)
     n = q.shape[0]
     rgb = np.zeros((n, 4, 3), np.float32)
-    weights = np.zeros((n, 4), np.float64)
+    ax = np.zeros((n, 4), np.float64)
+    ay = np.zeros((n, 4), np.float64)
     corners = [(i0, j0), (i0, j1), (i1, j0), (i1, j1)]
     opposite = [3, 2, 1, 0]
     for k, (ci, cj) in enumerate(corners):
@@ -266,15 +270,15 @@ def spatial_decode(feature: np.ndarray, queries: np.ndarray, s: float,
         ], axis=1)
         rgb[:, k, :] = mlp_forward(inp, decoder)
         oi, oj = corners[opposite[k]]
-        weights[:, k] = np.abs((qx - (oj + 0.5)) * (qy - (oi + 0.5)))
+        ax[:, k] = np.abs(qx - (oj + 0.5))
+        ay[:, k] = np.abs(qy - (oi + 0.5))
 
-    total = weights.sum(axis=1, keepdims=True)
-    degenerate = total[:, 0] <= 0
-    if np.any(degenerate):
-        # clamped corners collapsed; fall back to equal weighting
-        weights[degenerate] = 0.25
-        total[degenerate] = 1.0
-    weights = weights / total
+    # an axis whose four factors are all 0 (a clamped border cell, query on
+    # its centre line) takes their limit from either side, 1
+    ax[~ax.any(axis=1)] = 1.0
+    ay[~ay.any(axis=1)] = 1.0
+    weights = ax * ay
+    weights = weights / weights.sum(axis=1, keepdims=True)
     out = np.einsum("nk,nkc->nc", weights.astype(np.float32), rgb)
     if not np.all(np.isfinite(out)):
         raise NumericError("non-finite decoded values")

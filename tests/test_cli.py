@@ -181,17 +181,19 @@ class TestPlan:
         assert format_manifest(plans) == out.read_text()
 
 
-class TestPipelineCmd:
-    @pytest.fixture
-    def setup(self, tmp_path):
-        frames = rgb_ramp_clip(n=4, h=16, w=16)
-        d = write_clip(tmp_path, frames)
-        events = tmp_path / "events.evt"
-        main(["simulate", str(d), "--threshold", "0.2", "-o", str(events)])
-        return d, events
+@pytest.fixture
+def rgb_clip(tmp_path):
+    """A 16x16 RGB clip directory and its events file."""
+    d = write_clip(tmp_path, rgb_ramp_clip(n=4, h=16, w=16))
+    events = tmp_path / "events.evt"
+    assert main(["simulate", str(d), "--threshold", "0.2",
+                 "-o", str(events)]) == 0
+    return d, events
 
-    def test_single_time_identity_scale(self, setup, tmp_path):
-        d, events = setup
+
+class TestPipelineCmd:
+    def test_single_time_identity_scale(self, rgb_clip, tmp_path):
+        d, events = rgb_clip
         out = tmp_path / "out"
         assert main(["pipeline", str(d), str(events), "--scale", "1",
                      "--times", "0.0", "-o", str(out)]) == 0
@@ -200,8 +202,8 @@ class TestPipelineCmd:
         report = (out / "report.txt").read_text()
         assert "holistic_extractor_calls: 1" in report
 
-    def test_byte_identical_runs(self, setup, tmp_path):
-        d, events = setup
+    def test_byte_identical_runs(self, rgb_clip, tmp_path):
+        d, events = rgb_clip
         a, b = tmp_path / "a", tmp_path / "b"
         args = ["pipeline", str(d), str(events), "--scale", "2",
                 "--times", "0.0,0.5,1.0", "--seed", "3"]
@@ -210,8 +212,8 @@ class TestPipelineCmd:
         for name in ("out_000.ppm", "out_001.ppm", "out_002.ppm", "report.txt"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    def test_threads_from_env(self, setup, tmp_path, monkeypatch):
-        d, events = setup
+    def test_threads_from_env(self, rgb_clip, tmp_path, monkeypatch):
+        d, events = rgb_clip
         a, b = tmp_path / "a", tmp_path / "b"
         args = ["pipeline", str(d), str(events), "--scale", "2",
                 "--times", "0.5", "--seed", "3"]
@@ -407,3 +409,97 @@ class TestMoreErrorCodes:
                      "-o", str(events)]) == 0
         assert main(["pipeline", str(small), str(events), "--scale", "1",
                      "--times", "0.5", "-o", str(tmp_path / "out")]) == 4
+
+
+def assert_one_line_error(capsys, prefix):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+class TestNonFiniteFlags:
+    @pytest.mark.parametrize("argv", [
+        ["pipeline", "{clip}", "{events}", "--scale", "nan", "--times", "0.5"],
+        ["pipeline", "{clip}", "{events}", "--scale", "inf", "--times", "0.5"],
+        ["pipeline", "{clip}", "{events}", "--scale", "1e308", "--times", "0.5"],
+        ["pipeline", "{clip}", "{events}", "--scale", "2", "--times", "0.5",
+         "--ratio", "nan"],
+        ["simulate", "{clip}", "--threshold", "nan"],
+        ["simulate", "{clip}", "--threshold", "0.2", "--eps", "nan"],
+        ["simulate", "{clip}", "--threshold", "0.2", "--eps", "inf"],
+        ["reconstruct", "{frame}", "{events}", "--frame-time", "0", "--at",
+         "2000", "--threshold", "nan"],
+        ["reconstruct", "{frame}", "{events}", "--frame-time", "0", "--at",
+         "2000", "--threshold", "inf"],
+        ["reconstruct", "{frame}", "{events}", "--frame-time", "0", "--at",
+         "2000", "--threshold", "0.2", "--eps", "nan"],
+        ["bench", "{events}", "--repr", "tpr", "--ratio", "nan"],
+    ], ids=["pipeline-scale-nan", "pipeline-scale-inf", "pipeline-scale-1e308",
+            "pipeline-ratio-nan", "simulate-threshold-nan", "simulate-eps-nan",
+            "simulate-eps-inf", "reconstruct-threshold-nan",
+            "reconstruct-threshold-inf", "reconstruct-eps-nan",
+            "bench-ratio-nan"])
+    def test_exits_4_without_output(self, rgb_clip, tmp_path, capsys, argv):
+        d, events = rgb_clip
+        out = tmp_path / "out"
+        argv = [a.format(clip=d, events=events, frame=d / "frame_000.ppm")
+                for a in argv]
+        if argv[0] != "bench":
+            argv += ["-o", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 4
+        assert_one_line_error(capsys, "contract violation: ")
+        assert not out.exists()
+
+
+class TestUsageErrors:
+    def test_tpr_output_without_events_file(self, tmp_path, capsys):
+        out = tmp_path / "t.tns"
+        assert main(["tpr", "--L", "3", "--Mp", "2", "--r", "3",
+                     "--half-window", "0.001s", "-o", str(out)]) == 2
+        assert_one_line_error(capsys, "usage error: ")
+        assert not out.exists()
+
+    def test_missing_frames_directory(self, tmp_path, capsys):
+        assert main(["simulate", str(tmp_path / "nope"), "--threshold", "0.2",
+                     "-o", str(tmp_path / "e.evt")]) == 2
+        assert_one_line_error(capsys, "usage error: ")
+
+    def test_directory_without_frames(self, tmp_path, capsys):
+        d = tmp_path / "clip"
+        d.mkdir()
+        (d / "timestamps.txt").write_text("0\n")
+        (d / "notes.txt").write_text("not a frame\n")
+        assert main(["simulate", str(d), "--threshold", "0.2",
+                     "-o", str(tmp_path / "e.evt")]) == 2
+        assert_one_line_error(capsys, "usage error: ")
+
+    @pytest.mark.parametrize("stamps", ["0\n1000\n2000\n",
+                                        "0\n1000\n2000\n3000\n4000\n",
+                                        "0\n1000\n2000.5\n3000\n",
+                                        "0\n1000\nabc\n3000\n"],
+                             ids=["short", "long", "decimal", "text"])
+    def test_bad_timestamps_file(self, tmp_path, capsys, stamps):
+        d = write_clip(tmp_path, make_ramp_clip(h=8, w=8, n_frames=4))
+        (d / "timestamps.txt").write_text(stamps)
+        assert main(["simulate", str(d), "--threshold", "0.2",
+                     "-o", str(tmp_path / "e.evt")]) == 2
+        assert_one_line_error(capsys, "usage error: ")
+
+    def test_empty_times_list(self, rgb_clip, tmp_path, capsys):
+        d, events = rgb_clip
+        capsys.readouterr()
+        assert main(["pipeline", str(d), str(events), "--scale", "1",
+                     "--times", ",", "-o", str(tmp_path / "out")]) == 2
+        assert_one_line_error(capsys, "usage error: ")
+
+    @pytest.mark.parametrize("missing", ["pred", "gt"])
+    def test_metrics_missing_directory(self, tmp_path, capsys, missing):
+        present = tmp_path / "present"
+        present.mkdir()
+        write_frame(np.full((4, 4), 0.5), str(present / "f.pgm"))
+        dirs = {"pred": str(present), "gt": str(present)}
+        dirs[missing] = str(tmp_path / "nope")
+        assert main(["metrics", dirs["pred"], dirs["gt"],
+                     "-o", str(tmp_path / "r.csv")]) == 2
+        assert_one_line_error(capsys, "usage error: ")

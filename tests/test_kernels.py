@@ -623,6 +623,39 @@ class TestSpatialDecode:
         ref = mlp_forward(inp[None], decoder)[0]
         assert np.allclose(out[0], ref, atol=1e-6)
 
+    def test_identity_scale_decodes_each_cell_at_zero_offset(self):
+        # every cell centre, the last row and column included, where both
+        # taps of an axis clamp to the same border cell
+        rng = np.random.default_rng(32)
+        c, h, w = 4, 5, 7
+        decoder = _init_mlp(rng, [c + 2, 8, 8, 8, 3],
+                            ["relu", "relu", "relu", "none"])
+        feature = rng.standard_normal((c, h, w)).astype(np.float32)
+        gy, gx = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+        q = np.stack([gx.ravel() + 0.5, gy.ravel() + 0.5], axis=1)
+        out = spatial_decode(feature, q, 1.0, decoder)
+        inp = np.concatenate([feature.reshape(c, h * w).T,
+                              np.zeros((h * w, 2), np.float32)], axis=1)
+        assert np.abs(out - mlp_forward(inp, decoder)).max() <= 1e-5
+
+    def test_continuous_across_clamped_centre_lines(self):
+        rng = np.random.default_rng(33)
+        c, h, w = 4, 5, 7
+        decoder = _init_mlp(rng, [c + 2, 8, 8, 8, 3],
+                            ["relu", "relu", "relu", "none"])
+        feature = rng.standard_normal((c, h, w)).astype(np.float32)
+        n = 40
+        on_col = np.column_stack([np.full(n, w - 0.5), rng.uniform(0, h, n)])
+        on_row = np.column_stack([rng.uniform(0, w, n), np.full(n, h - 0.5)])
+        for q, axis in ((on_col, 0), (on_row, 1)):
+            q = np.vstack([q, [w - 0.5, h - 0.5]])  # the corner clamps both
+            at = spatial_decode(feature, q, 2.0, decoder)
+            for side in (-1e-9, 1e-9):
+                near = q.copy()
+                near[:, axis] += side
+                assert np.abs(spatial_decode(feature, near, 2.0, decoder)
+                              - at).max() <= 1e-6
+
     def test_matches_geometric_oracle(self):
         rng = np.random.default_rng(29)
         for _ in range(100):

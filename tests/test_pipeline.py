@@ -1,3 +1,5 @@
+import hashlib
+import io
 import threading
 
 import numpy as np
@@ -12,6 +14,7 @@ from evtpr import (
     pipeline_forward,
     simulate_events,
 )
+from evtpr.io_formats import write_frame
 
 
 def toy_clip(n_frames=4, h=16, w=16, seed=0):
@@ -155,3 +158,34 @@ class TestPipeline:
         params = init_pipeline_params(config, 0)
         with pytest.raises(InvalidInputError, match="sensor size"):
             pipeline_forward(frames, stream, 1.0, [0.5], config, params)
+
+
+class TestBrightOutputDigest:
+    """SHA-256 of the 8-bit frames, as the CLI writes them, on the
+    `bright_pipeline` fixture, whose output spans [0, 1].
+
+    A wrong pixel or a swapped axis moves many 8-bit levels here, where the
+    near-black seeded frames of TestOutputDigest show few. Any intended
+    change to pipeline output values must update these digests in the same
+    change and say so.
+    """
+
+    TIMES = [0.0, 0.5, 1.0]
+    DIGESTS = {
+        1.0: "69db125cd0bfe25eedca2793c72c7411beaa67a89506f5e1ff9e06f78e59a7aa",
+        2.5: "eb680dcca642836678865e32d7ab0d8bda4e89c80f33751fe5e0bf92a95c58d5",
+    }
+
+    @pytest.mark.parametrize("s", sorted(DIGESTS))
+    def test_frames_bytes(self, bright_pipeline, s):
+        frames, stream, config, params = bright_pipeline
+        outs, _ = pipeline_forward(frames, stream, s, self.TIMES, config, params)
+        # the fixture's frames really span [0, 1]
+        assert min(o.min() for o in outs) == 0.0
+        assert max(o.max() for o in outs) == 1.0
+        sha = hashlib.sha256()
+        for out in outs:
+            buf = io.BytesIO()
+            write_frame(out, buf)
+            sha.update(buf.getvalue())
+        assert sha.hexdigest() == self.DIGESTS[s]

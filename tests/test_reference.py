@@ -27,8 +27,18 @@ TOL = 1e-5
 ], ids=["toy-s3.5", "ct640", "ragged-chunks"])
 def test_pipeline_matches_reference(config, side, s, times):
     frames = toy_clip(h=side, w=side)
-    stream = simulate_events(frames, C=0.2)
-    params = init_pipeline_params(config, 3)
+    check_pipeline(frames, simulate_events(frames, C=0.2), s, times, config,
+                   init_pipeline_params(config, 3))
+
+
+@pytest.mark.parametrize("s", [1.0, 2.5])
+def test_bright_pipeline_matches_reference(bright_pipeline, s):
+    # output spanning [0, 1], so a wrong pixel cannot hide near black
+    frames, stream, config, params = bright_pipeline
+    check_pipeline(frames, stream, s, [0.0, 0.5, 1.0], config, params)
+
+
+def check_pipeline(frames, stream, s, times, config, params):
     outs, _ = pipeline_forward(frames, stream, s, times, config, params)
     refs = reference.reference_pipeline_forward(frames, stream, s, times,
                                                 config, params)
