@@ -6,16 +6,24 @@ by integrating event polarities.
 
 An `EventStream` holds its events as parallel arrays sorted by timestamp,
 and `EventStream.window` is the one place that decides which events lie in
-a time window: a binary search on the sorted timestamps. Reconstruction and
-`polarity_integral` integrate over the half-open window (t0, t1]; the voxel
-grid and temporal pyramid in `representations` use the closed [t0, t1].
-Reconstruction requires the keyframe to have the sensor's size.
+a time window: a binary search on the sorted timestamps. Its `pixel` index
+(y * width + x, computed once per stream) is the one place that maps an
+event to its flat pixel; every scatter and lookup reads it. Reconstruction
+and `polarity_integral` integrate over the half-open window (t0, t1]; the
+voxel grid and temporal pyramid in `representations` use the closed
+[t0, t1]. Reconstruction requires the keyframe to have the sensor's size.
+
+`simulate_events` emits the canonical event order: by timestamp, then
+pixel (row-major), then positive polarity first. It sorts one packed int64
+key per event, ((t - t_begin) * H * W + pixel) * 2 + (p < 0), so a clip
+whose (t_end - t_begin + 1) * H * W * 2 exceeds 2**63 is rejected.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -41,7 +49,8 @@ class EventStream:
     """Time-sorted sequence of events on a fixed sensor.
 
     Events are stored as parallel arrays for fast scanning; iterate the
-    stream to get `Event` tuples.
+    stream to get `Event` tuples. The arrays are not mutated after
+    construction: derived arrays such as `pixel` are cached on first use.
     """
 
     sensor_width: int
@@ -85,6 +94,19 @@ class EventStream:
         t0, t1 = (min(max(v, self.t_begin - 1), self.t_end + 1) for v in (t0, t1))
         first = math.floor(t0) + 1 if lo_open else math.ceil(t0)
         return slice(*np.searchsorted(self.t, [first, math.floor(t1) + 1]).tolist())
+
+    @cached_property
+    def pixel(self) -> np.ndarray:
+        """Flat pixel index y * sensor_width + x of every event.
+
+        int32 whenever the sensor's pixel count fits, which halves the
+        cached array's size.
+        """
+        hw = self.sensor_width * self.sensor_height
+        dtype = np.int32 if hw <= np.iinfo(np.int32).max else np.int64
+        pixel = np.multiply(self.y, self.sensor_width, dtype=dtype)
+        pixel += self.x
+        return pixel
 
     def __iter__(self) -> Iterator[Event]:
         return map(Event, self.x.tolist(), self.y.tolist(), self.t.tolist(), self.p.tolist())
@@ -157,6 +179,12 @@ def simulate_events(frames: Sequence[IntensityFrame], C: float,
     reference by C; the reference then advances by p*C. Event times are
     rounded down to the microsecond. Deterministic: simultaneous events are
     ordered row-major by pixel, positive polarity first.
+
+    That order is the order of one int64 key per event,
+    ((t - t_begin) * H * W + y * W + x) * 2 + (p < 0). Events with equal
+    keys are identical, so one plain sort gives the same bytes for any sort
+    algorithm. Raises InvalidInputError when the keys of the clip's span
+    could overflow int64.
     """
     if len(frames) < 2:
         raise InvalidInputError("need at least two frames")
@@ -169,11 +197,15 @@ def simulate_events(frames: Sequence[IntensityFrame], C: float,
     ts = [f.timestamp for f in frames]
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise InvalidInputError("frame timestamps must be strictly increasing")
+    t_begin, span, hw = int(ts[0]), int(ts[-1]) - int(ts[0]), h * w
+    if 2 * hw * (span + 1) > 2 ** 63:
+        raise InvalidInputError("a %d us clip on %dx%d pixels overflows the int64 "
+                                "event sort key" % (span, w, h))
 
     logs = [log_view(f, eps) for f in frames]
     ref = logs[0].copy()
 
-    parts = []  # per segment: (t, y, x, p) of its events
+    keys = []  # per segment: the packed sort key of each of its events
     for (t0, l0), (t1, l1) in zip(zip(ts[:-1], logs[:-1]), zip(ts[1:], logs[1:])):
         dl = l1 - l0
         # number of threshold levels crossed per pixel during this segment
@@ -187,20 +219,37 @@ def simulate_events(frames: Sequence[IntensityFrame], C: float,
         ey, ex, ep = np.repeat(ys, n), np.repeat(xs, n), np.repeat(pol, n)
         k = np.arange(len(ep)) - np.repeat(np.cumsum(n) - n, n) + 1
         frac = (ref[ey, ex] + (ep * k) * C - l0[ey, ex]) / dl[ey, ex]
-        parts.append((np.floor(t0 + frac * (t1 - t0)), ey, ex, ep))
+        key = np.floor(t0 + frac * (t1 - t0)).astype(np.int64)  # t, packed below
+        # the check EventStream makes, before the key could wrap around
+        if len(key) and (key.min() < ts[0] or key.max() > ts[-1]):
+            raise InvalidInputError("event timestamps outside [t_begin, t_end]")
+        # in place, Horner form: ((t - t_begin) * H * W + y * W + x) * 2 + (p < 0)
+        key -= t_begin
+        key *= h
+        key += ey
+        key *= w
+        key += ex
+        key *= 2
+        key += ep < 0
+        keys.append(key)
         ref[ys, xs] += (pol * n) * C
 
-    t, y, x, p = (np.concatenate(a) for a in zip(*parts))
-    order = np.lexsort((-p, y * w + x, t))
+    key = np.concatenate(keys)
+    key.sort()
+    p = 1 - 2 * (key & 1).astype(np.int8)
+    key >>= 1
+    t, pixel = np.divmod(key, hw)
+    t += t_begin
+    y, x = np.divmod(pixel, w)
     return EventStream(
         sensor_width=w,
         sensor_height=h,
         t_begin=ts[0],
         t_end=ts[-1],
-        t=t[order].astype(np.int64),
-        x=x[order].astype(np.int32),
-        y=y[order].astype(np.int32),
-        p=p[order].astype(np.int8),
+        t=t,
+        x=x.astype(np.int32),
+        y=y.astype(np.int32),
+        p=p,
     )
 
 
@@ -212,7 +261,7 @@ def polarity_integral(stream: EventStream, x: int, y: int,
     if t0 > t1:
         raise InvalidInputError("t0 must not exceed t1")
     win = stream.window(t0, t1, lo_open=True)
-    return int(stream.p[win][(stream.x[win] == x) & (stream.y[win] == y)].sum())
+    return int(stream.p[win][stream.pixel[win] == y * stream.sensor_width + x].sum())
 
 
 def reconstruct_log_intensity(frame: IntensityFrame, stream: EventStream,
@@ -230,6 +279,5 @@ def reconstruct_log_intensity(frame: IntensityFrame, stream: EventStream,
         raise InvalidInputError("frame size differs from the event sensor size")
     base = log_view(frame, eps)
     win = stream.window(frame.timestamp, t, lo_open=True)
-    counts = np.bincount(stream.y[win].astype(np.int64) * frame.width + stream.x[win],
-                         weights=stream.p[win], minlength=base.size)
+    counts = np.bincount(stream.pixel[win], weights=stream.p[win], minlength=base.size)
     return base + C * counts.reshape(base.shape)

@@ -153,6 +153,12 @@ class PipelineConfig:
             raise InvalidInputError("n_in must be >= 2")
         if self.c_r % self.heads:
             raise InvalidInputError("heads must divide c_r")
+        # build_tpr checks these too, but only after the voxel segments and
+        # the holistic extractor have run
+        if not 1 < self.tpr_ratio < math.inf:
+            raise InvalidInputError("tpr_ratio must be finite and exceed 1")
+        if not 0 < self.tpr_half_window_fraction < math.inf:
+            raise InvalidInputError("tpr_half_window_fraction must be positive and finite")
 
     def tpr_half_window_us(self, span_us: float) -> float:
         return self.tpr_half_window_fraction * span_us

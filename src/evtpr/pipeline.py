@@ -182,6 +182,13 @@ def pipeline_forward(frames: Sequence[IntensityFrame], stream: EventStream,
     h, w = frames[0].height, frames[0].width
     if not math.isfinite(s * max(h, w)):
         raise InvalidInputError("scale %r overflows the output size" % s)
+    out_h = int(math.floor(s * h + 1e-9))
+    out_w = int(math.floor(s * w + 1e-9))
+    # the largest array per output pixel is the query array, 2 float64
+    # (16 bytes); numpy cannot even size one with more bytes than intp holds
+    if out_h * out_w > np.iinfo(np.intp).max // 16:
+        raise InvalidInputError("scale %r gives a %dx%d output, too large to address"
+                                % (s, out_h, out_w))
     config.validate_spatial(h, w)
     for f in frames:
         if f.channels != 3:
@@ -213,8 +220,6 @@ def pipeline_forward(frames: Sequence[IntensityFrame], stream: EventStream,
     span = ts[-1] - ts[0]
     half_window = config.tpr_half_window_us(span)
 
-    out_h = int(math.floor(s * h + 1e-9))
-    out_w = int(math.floor(s * w + 1e-9))
     gy, gx = np.meshgrid(np.arange(out_h), np.arange(out_w), indexing="ij")
     queries = np.stack([(gx.ravel() + 0.5) / s,
                         (gy.ravel() + 0.5) / s], axis=1)

@@ -9,7 +9,9 @@ voxelized into M_p bins. Finest granularity: delta_t = 2*half_window /
 Both take the events of the closed window [t0, t1] from
 `EventStream.window`, a binary search on the sorted timestamps, so a grid
 or pyramid level costs O(log N + events in its window), and scatter them
-with one `np.bincount`.
+with one `np.bincount` through the stream's cached `pixel` index. On a
+time-sorted window the bin index is non-decreasing, so the events with an
+upper tap are a prefix of the window, found by one binary search.
 """
 
 from __future__ import annotations
@@ -88,14 +90,21 @@ def build_voxel_grid(stream: EventStream, M: int, t0: float, t1: float) -> Voxel
     k = np.floor(tau).astype(np.int64)
     frac = tau - k
     hw = stream.sensor_height * stream.sensor_width
-    cell = k * hw + stream.y[win].astype(np.int64) * stream.sensor_width + stream.x[win]
-    # lower taps, then upper taps (k < M-1), each in event order: bincount
-    # adds in input order, so this fixes every cell's float sum; given no
-    # input it returns integer zeros
-    up = k < M - 1
-    data = np.bincount(np.concatenate([cell, cell[up] + hw]),
-                       weights=np.concatenate([p * (1.0 - frac), (p * frac)[up]]),
-                       minlength=M * hw).astype(np.float64, copy=False)
+    # k is non-decreasing on the time-sorted window, so the events with an
+    # upper tap (k < M-1) are its first n_up
+    n, n_up = len(k), int(np.searchsorted(k, M - 1))
+    # lower taps, then upper taps, each in event order: bincount adds in
+    # input order, so this fixes every cell's float sum; given no input it
+    # returns integer zeros
+    idx = np.empty(n + n_up, np.int64)
+    wts = np.empty(n + n_up)
+    np.multiply(k, hw, out=idx[:n])
+    idx[:n] += stream.pixel[win]
+    np.add(idx[:n_up], hw, out=idx[n:])
+    np.subtract(1.0, frac, out=wts[:n])
+    wts[:n] *= p
+    np.multiply(p[:n_up], frac[:n_up], out=wts[n:])
+    data = np.bincount(idx, weights=wts, minlength=M * hw).astype(np.float64, copy=False)
     return VoxelGrid(bins=M, t0=float(t0), t1=float(t1),
                      data=data.reshape(M, stream.sensor_height, stream.sensor_width))
 

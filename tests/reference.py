@@ -10,8 +10,11 @@ query runs the whole decoder MLP on feature || offset, and the fused
 C_t x H x W tensor is built explicitly. The one later edit is the area
 weight on a clamped border cell's centre line in `spatial_decode`, which
 follows the same rule as production (the limit of the per-axis factors in
-place of an equal-weight fallback). Window geometry and the resampling
-convolutions are imported from production; they have not changed.
+place of an equal-weight fallback). `window_partition` and
+`window_unpartition` are index loops that copy one token at a time, so a
+fault in production's reshape/transpose geometry shows here. The cyclic
+shift and the resampling convolutions are imported from production; they
+have not changed.
 The event path (`simulate_events`, `polarity_integral`,
 `reconstruct_log_intensity`, `build_voxel_grid`, `build_tpr`) is kept the
 same way: a Python loop over every threshold crossing with a tuple sort,
@@ -41,8 +44,6 @@ from evtpr.kernels import (
     cyclic_shift,
     downsample_half,
     upsample_double,
-    window_partition,
-    window_unpartition,
 )
 from evtpr.events import DEFAULT_EPS, EventStream, IntensityFrame, log_view
 from evtpr.representations import TemporalPyramid, VoxelGrid
@@ -137,6 +138,36 @@ def multi_head_self_attention(x: np.ndarray, params: AttentionParams,
     out = out @ params.w_o.T.astype(np.float32) + params.b_o.astype(np.float32)
     if not np.all(np.isfinite(out)):
         raise NumericError("non-finite attention output")
+    return out
+
+
+def window_partition(x: np.ndarray, M: int) -> np.ndarray:
+    """L x C x H x W -> (L * H/M * W/M) x (M*M) x C: windows in raster order
+    per level, each window's tokens in raster order."""
+    l, c, h, w = x.shape
+    out = np.empty((l * (h // M) * (w // M), M * M, c), x.dtype)
+    n = 0
+    for lv in range(l):
+        for i in range(h // M):
+            for j in range(w // M):
+                for a in range(M):
+                    for b in range(M):
+                        out[n, a * M + b] = x[lv, :, i * M + a, j * M + b]
+                n += 1
+    return out
+
+
+def window_unpartition(windows: np.ndarray, M: int, l: int, h: int, w: int) -> np.ndarray:
+    """Inverse of window_partition."""
+    out = np.empty((l, windows.shape[2], h, w), windows.dtype)
+    n = 0
+    for lv in range(l):
+        for i in range(h // M):
+            for j in range(w // M):
+                for a in range(M):
+                    for b in range(M):
+                        out[lv, :, i * M + a, j * M + b] = windows[n, a * M + b]
+                n += 1
     return out
 
 

@@ -422,6 +422,9 @@ class TestNonFiniteFlags:
         ["pipeline", "{clip}", "{events}", "--scale", "nan", "--times", "0.5"],
         ["pipeline", "{clip}", "{events}", "--scale", "inf", "--times", "0.5"],
         ["pipeline", "{clip}", "{events}", "--scale", "1e308", "--times", "0.5"],
+        # finite output sizes whose query array numpy cannot size
+        ["pipeline", "{clip}", "{events}", "--scale", "1e300", "--times", "0.5"],
+        ["pipeline", "{clip}", "{events}", "--scale", "1e8", "--times", "0.5"],
         ["pipeline", "{clip}", "{events}", "--scale", "2", "--times", "0.5",
          "--ratio", "nan"],
         ["simulate", "{clip}", "--threshold", "nan"],
@@ -435,7 +438,8 @@ class TestNonFiniteFlags:
          "2000", "--threshold", "0.2", "--eps", "nan"],
         ["bench", "{events}", "--repr", "tpr", "--ratio", "nan"],
     ], ids=["pipeline-scale-nan", "pipeline-scale-inf", "pipeline-scale-1e308",
-            "pipeline-ratio-nan", "simulate-threshold-nan", "simulate-eps-nan",
+            "pipeline-scale-1e300", "pipeline-scale-1e8", "pipeline-ratio-nan",
+            "simulate-threshold-nan", "simulate-eps-nan",
             "simulate-eps-inf", "reconstruct-threshold-nan",
             "reconstruct-threshold-inf", "reconstruct-eps-nan",
             "bench-ratio-nan"])
@@ -449,6 +453,23 @@ class TestNonFiniteFlags:
         capsys.readouterr()
         assert main(argv) == 4
         assert_one_line_error(capsys, "contract violation: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ratio", ["nan", "inf", "1", "0.5"])
+    def test_bad_tpr_ratio_fails_before_any_work(self, rgb_clip, tmp_path, capsys,
+                                                 monkeypatch, ratio):
+        import evtpr.pipeline
+
+        def never(*args, **kwargs):
+            raise AssertionError("the holistic extractor ran")
+
+        monkeypatch.setattr(evtpr.pipeline, "holistic_extractor_forward", never)
+        d, events = rgb_clip
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["pipeline", str(d), str(events), "--scale", "2", "--times", "0.5",
+                     "--ratio", ratio, "-o", str(out)]) == 4
+        assert_one_line_error(capsys, "contract violation: tpr_ratio")
         assert not out.exists()
 
 

@@ -142,6 +142,16 @@ class TestPipeline:
         with pytest.raises(InvalidInputError):
             pipeline_forward(frames, stream, 0.5, [0.5], config, params)
 
+    @pytest.mark.parametrize("field,value", [
+        ("tpr_ratio", float("nan")), ("tpr_ratio", float("inf")), ("tpr_ratio", 1.0),
+        ("tpr_half_window_fraction", float("nan")),
+        ("tpr_half_window_fraction", float("inf")),
+        ("tpr_half_window_fraction", 0.0), ("tpr_half_window_fraction", -0.5),
+    ])
+    def test_config_rejects_bad_tpr_settings(self, field, value):
+        with pytest.raises(InvalidInputError, match=field):
+            PipelineConfig(n_in=4, **{field: value})
+
     def test_resolution_must_fit_window_and_depth(self):
         frames = toy_clip(h=12, w=12)
         stream = simulate_events(frames, C=0.2)

@@ -89,9 +89,10 @@ def test_holistic_extractor_matches_reference():
 
 def test_decode_degenerate_queries_across_chunk_boundaries():
     # queries on the last row's or column's centre clamp both corner pairs
-    # to one cell, so their area weights vanish and the equal-weight
-    # fallback applies; runs of them straddle every multiple of 1024, so
-    # any power-of-two chunk size of at least 1024 splits a run
+    # to one cell, so one axis's four area factors are all 0 and are taken
+    # at their limit, 1, leaving the other axis's factors; runs of them
+    # straddle every multiple of 1024, so any power-of-two chunk size of at
+    # least 1024 splits a run
     rng = np.random.default_rng(41)
     c, h, w = 5, 6, 7
     n = 3 * 4096 + 37
