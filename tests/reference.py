@@ -12,9 +12,12 @@ weight on a clamped border cell's centre line in `spatial_decode`, which
 follows the same rule as production (the limit of the per-axis factors in
 place of an equal-weight fallback). `window_partition` and
 `window_unpartition` are index loops that copy one token at a time, so a
-fault in production's reshape/transpose geometry shows here. The cyclic
-shift and the resampling convolutions are imported from production; they
-have not changed.
+fault in production's reshape/transpose geometry shows here.
+`downsample_half` (a stack of the four stride-2 taps and one einsum) and
+`upsample_double` (an explicit nearest x2 tensor, zero-padded, and nine
+per-tap einsums) are the straightforward resampling convolutions, kept
+unchanged for the same purpose. The cyclic shift is imported from
+production; it has not changed.
 The event path (`simulate_events`, `polarity_integral`,
 `reconstruct_log_intensity`, `build_voxel_grid`, `build_tpr`) is kept the
 same way: a Python loop over every threshold crossing with a tuple sort,
@@ -42,8 +45,6 @@ from evtpr.kernels import (
     StebParams,
     TemporalEmbedParams,
     cyclic_shift,
-    downsample_half,
-    upsample_double,
 )
 from evtpr.events import DEFAULT_EPS, EventStream, IntensityFrame, log_view
 from evtpr.representations import TemporalPyramid, VoxelGrid
@@ -138,6 +139,39 @@ def multi_head_self_attention(x: np.ndarray, params: AttentionParams,
     out = out @ params.w_o.T.astype(np.float32) + params.b_o.astype(np.float32)
     if not np.all(np.isfinite(out)):
         raise NumericError("non-finite attention output")
+    return out
+
+
+def downsample_half(x: np.ndarray, params: ConvParams) -> np.ndarray:
+    """Strided 2x2 convolution (stride 2), channels preserved."""
+    w, b = params.weight, params.bias
+    if x.shape[-2] % 2 or x.shape[-1] % 2:
+        raise InvalidInputError("downsample requires even spatial dimensions")
+    if w.ndim != 4 or w.shape[2:] != (2, 2) or x.shape[-3] != w.shape[1]:
+        raise InvalidInputError("downsample kernel must be out_c x in_c x 2 x 2")
+    xf = np.asarray(x, np.float32)
+    patches = np.stack([xf[..., 0::2, 0::2], xf[..., 0::2, 1::2],
+                        xf[..., 1::2, 0::2], xf[..., 1::2, 1::2]], axis=-3)
+    # patches: ... x C x 4 x H/2 x W/2
+    out = np.einsum("ock,...ckhw->...ohw", w.reshape(w.shape[0], w.shape[1], 4), patches)
+    out += b[:, None, None]
+    return out
+
+
+def upsample_double(x: np.ndarray, params: ConvParams) -> np.ndarray:
+    """Nearest-neighbor x2 followed by a zero-padded 3x3 convolution."""
+    w, b = params.weight, params.bias
+    if w.ndim != 4 or w.shape[2:] != (3, 3) or x.shape[-3] != w.shape[1]:
+        raise InvalidInputError("upsample kernel must be out_c x in_c x 3 x 3")
+    xf = np.repeat(np.repeat(np.asarray(x, np.float32), 2, axis=-2), 2, axis=-1)
+    padded = np.zeros(xf.shape[:-2] + (xf.shape[-2] + 2, xf.shape[-1] + 2), np.float32)
+    padded[..., 1:-1, 1:-1] = xf
+    out = np.zeros(xf.shape[:-3] + (w.shape[0],) + xf.shape[-2:], np.float32)
+    for di in range(3):
+        for dj in range(3):
+            sl = padded[..., di:di + xf.shape[-2], dj:dj + xf.shape[-1]]
+            out += np.einsum("oc,...chw->...ohw", w[:, :, di, dj], sl)
+    out += b[:, None, None]
     return out
 
 
