@@ -275,13 +275,38 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     return out
 
 
+# Abramowitz & Stegun 7.1.26: erfc(z) = t (A1 + t (A2 + ... + t A5)) e^(-z^2),
+# t = 1 / (1 + P z), for z >= 0, with |error| <= 1.5e-7. Here z = a / sqrt(2),
+# so P carries the 1/sqrt(2), and the A carry the 1/2 of Phi = erfc / 2.
+_GELU_P = np.float32(0.3275911 / math.sqrt(2.0))
+_GELU_A = tuple(np.float32(0.5 * a) for a in (
+    1.061405429, -1.453152027, 1.421413741, -0.284496736, 0.254829592))
+
+
 def _gelu(x: np.ndarray) -> np.ndarray:
-    from scipy.special import erf
-    e = x / np.float32(math.sqrt(2.0))
-    erf(e, out=e)  # scipy's float32 loop
-    e += 1.0
-    x *= e
-    x *= 0.5
+    """Exact-form GELU x * Phi(x), in float32 and in place on x.
+
+    x * Phi(x) = relu(x) - |x| * Phi(-|x|), and Phi(-a) = erfc(a / sqrt(2)) / 2
+    comes from Abramowitz & Stegun 7.1.26: one exp, one reciprocal and a
+    5-term Horner polynomial. Against the float64-erf GELU the result is
+    within 5e-7 absolute on [-20, 20] (tests/test_kernels.py); it is
+    exactly 0 at +-0, and a non-finite input gives a non-finite output.
+    """
+    a = np.abs(x)
+    e = a * a
+    e *= np.float32(-0.5)
+    np.exp(e, out=e)
+    e *= a  # |x| exp(-x^2 / 2)
+    t = np.multiply(a, _GELU_P, out=a)
+    t += np.float32(1.0)
+    np.reciprocal(t, out=t)
+    poly = t * _GELU_A[0]
+    for coef in _GELU_A[1:]:
+        poly += coef
+        poly *= t
+    poly *= e  # |x| Phi(-|x|)
+    np.maximum(x, np.float32(0.0), out=x)
+    x -= poly
     return x
 
 
@@ -413,35 +438,65 @@ def conv1x1(x: np.ndarray, params: ConvParams) -> np.ndarray:
 
 
 def downsample_half(x: np.ndarray, params: ConvParams) -> np.ndarray:
-    """Strided 2x2 convolution (stride 2), channels preserved."""
+    """Strided 2x2 convolution (stride 2), channels preserved.
+
+    The four stride-2 taps of every channel are gathered into one
+    ... x 4C x (H/2 * W/2) buffer, in the order of the kernel's flattened
+    in_c x 2 x 2 axes, and convolved as one BLAS GEMM.
+    """
     w, b = params.weight, params.bias
     if x.shape[-2] % 2 or x.shape[-1] % 2:
         raise InvalidInputError("downsample requires even spatial dimensions")
     if w.ndim != 4 or w.shape[2:] != (2, 2) or x.shape[-3] != w.shape[1]:
         raise InvalidInputError("downsample kernel must be out_c x in_c x 2 x 2")
     xf = _f32(x)
-    patches = np.stack([xf[..., 0::2, 0::2], xf[..., 0::2, 1::2],
-                        xf[..., 1::2, 0::2], xf[..., 1::2, 1::2]], axis=-3)
-    # patches: ... x C x 4 x H/2 x W/2
-    out = np.einsum("ock,...ckhw->...ohw", w.reshape(w.shape[0], w.shape[1], 4), patches)
-    out += b[:, None, None]
-    return out
+    *lead, c, h, wd = xf.shape
+    taps = np.stack([xf[..., 0::2, 0::2], xf[..., 0::2, 1::2],
+                     xf[..., 1::2, 0::2], xf[..., 1::2, 1::2]], axis=-3)
+    out = w.reshape(w.shape[0], 4 * c) @ taps.reshape(*lead, 4 * c, h // 2 * (wd // 2))
+    out += b[:, None]
+    return out.reshape(*lead, w.shape[0], h // 2, wd // 2)
+
+
+# _PHASE_TAPS[p][u, d] = 1 where tap d of a 3-tap axis lands, after nearest x2,
+# on input offset p + u - 1 (u = 0, 1) for output phase p: through its three
+# taps an even output row 2i reads input rows i-1, i, i, an odd one i, i, i+1
+_PHASE_TAPS = np.array([[[1, 0, 0], [0, 1, 1]],
+                        [[1, 1, 0], [0, 0, 1]]], np.float32)
 
 
 def upsample_double(x: np.ndarray, params: ConvParams) -> np.ndarray:
-    """Nearest-neighbor x2 followed by a zero-padded 3x3 convolution."""
+    """Nearest-neighbor x2 followed by a zero-padded 3x3 convolution.
+
+    Computed as a sub-pixel convolution (Shi et al., CVPR 2016), without
+    the x2 tensor: output phase (a, b), the pixels out[..., a::2, b::2],
+    is a 2x2 convolution of the input, zero-padded once, whose four taps
+    are the sums of the 3x3 taps that land on the same input pixel. Each
+    phase gathers its four taps into one ... x 4C x (H * W) buffer and runs
+    as one BLAS GEMM.
+    """
     w, b = params.weight, params.bias
     if w.ndim != 4 or w.shape[2:] != (3, 3) or x.shape[-3] != w.shape[1]:
         raise InvalidInputError("upsample kernel must be out_c x in_c x 3 x 3")
-    xf = np.repeat(np.repeat(_f32(x), 2, axis=-2), 2, axis=-1)
-    padded = np.zeros(xf.shape[:-2] + (xf.shape[-2] + 2, xf.shape[-1] + 2), np.float32)
+    xf = _f32(x)
+    *lead, c, h, wd = xf.shape
+    o = w.shape[0]
+    padded = np.zeros((*lead, c, h + 2, wd + 2), np.float32)
     padded[..., 1:-1, 1:-1] = xf
-    out = np.zeros(xf.shape[:-3] + (w.shape[0],) + xf.shape[-2:], np.float32)
-    for di in range(3):
-        for dj in range(3):
-            sl = padded[..., di:di + xf.shape[-2], dj:dj + xf.shape[-1]]
-            out += np.einsum("oc,...chw->...ohw", w[:, :, di, dj], sl)
-    out += b[:, None, None]
+    taps = np.empty((*lead, 4, c, h, wd), np.float32)
+    out = np.empty((*lead, o, 2 * h, 2 * wd), np.float32)
+    for pi in range(2):
+        for pj in range(2):
+            # o x c x 2 x 2 phase kernel, flattened to the (u, v, c) order of taps
+            k = _PHASE_TAPS[pi] @ w @ _PHASE_TAPS[pj].T
+            k = k.transpose(0, 2, 3, 1).reshape(o, 4 * c)
+            for u in range(2):
+                for v in range(2):
+                    taps[..., 2 * u + v, :, :, :] = \
+                        padded[..., pi + u:pi + u + h, pj + v:pj + v + wd]
+            y = k @ taps.reshape(*lead, 4 * c, h * wd)
+            np.add(y.reshape(*lead, o, h, wd), b[:, None, None],
+                   out=out[..., pi::2, pj::2])
     return out
 
 

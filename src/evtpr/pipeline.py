@@ -148,6 +148,21 @@ def _available_cores() -> int:
     return os.cpu_count() or 1
 
 
+def _query_grid(out_h: int, out_w: int, s: float) -> np.ndarray:
+    """(out_h * out_w) x 2 float64 (x, y) pixel centres of the output grid,
+    in input-grid units, row-major; InvalidInputError if it cannot be
+    allocated."""
+    try:
+        queries = np.empty((out_h * out_w, 2))
+    except MemoryError:
+        raise InvalidInputError("scale %r gives a %dx%d output, too large for memory"
+                                % (s, out_h, out_w)) from None
+    grid = queries.reshape(out_h, out_w, 2)
+    grid[..., 0] = (np.arange(out_w) + 0.5) / s
+    grid[..., 1] = ((np.arange(out_h) + 0.5) / s)[:, None]
+    return queries
+
+
 def pipeline_forward(frames: Sequence[IntensityFrame], stream: EventStream,
                      s: float, times: Sequence[float], config: PipelineConfig,
                      params: PipelineParams,
@@ -200,6 +215,9 @@ def pipeline_forward(frames: Sequence[IntensityFrame], stream: EventStream,
     ts = [f.timestamp for f in frames]
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise InvalidInputError("frame timestamps must be strictly increasing")
+    # allocated before any voxel or holistic work, so an output too large
+    # for memory fails at once
+    queries = _query_grid(out_h, out_w, s)
 
     report = RunReport()
     row_dev: list[float] = []
@@ -219,10 +237,6 @@ def pipeline_forward(frames: Sequence[IntensityFrame], stream: EventStream,
 
     span = ts[-1] - ts[0]
     half_window = config.tpr_half_window_us(span)
-
-    gy, gx = np.meshgrid(np.arange(out_h), np.arange(out_w), indexing="ij")
-    queries = np.stack([(gx.ravel() + 0.5) / s,
-                        (gy.ravel() + 0.5) / s], axis=1)
 
     outputs = []
     for t in times:

@@ -81,6 +81,8 @@ def build_voxel_grid(stream: EventStream, M: int, t0: float, t1: float) -> Voxel
     """
     if M < 1:
         raise InvalidInputError("bin count M must be >= 1")
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise InvalidInputError("voxel window bounds must be finite")
     if t0 >= t1:
         raise InvalidInputError("t0 must be less than t1")
     win = stream.window(t0, t1)

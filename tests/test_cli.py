@@ -425,6 +425,8 @@ class TestNonFiniteFlags:
         # finite output sizes whose query array numpy cannot size
         ["pipeline", "{clip}", "{events}", "--scale", "1e300", "--times", "0.5"],
         ["pipeline", "{clip}", "{events}", "--scale", "1e8", "--times", "0.5"],
+        # a query array numpy can size but not allocate
+        ["pipeline", "{clip}", "{events}", "--scale", "1e6", "--times", "0.5"],
         ["pipeline", "{clip}", "{events}", "--scale", "2", "--times", "0.5",
          "--ratio", "nan"],
         ["simulate", "{clip}", "--threshold", "nan"],
@@ -438,7 +440,8 @@ class TestNonFiniteFlags:
          "2000", "--threshold", "0.2", "--eps", "nan"],
         ["bench", "{events}", "--repr", "tpr", "--ratio", "nan"],
     ], ids=["pipeline-scale-nan", "pipeline-scale-inf", "pipeline-scale-1e308",
-            "pipeline-scale-1e300", "pipeline-scale-1e8", "pipeline-ratio-nan",
+            "pipeline-scale-1e300", "pipeline-scale-1e8", "pipeline-scale-1e6",
+            "pipeline-ratio-nan",
             "simulate-threshold-nan", "simulate-eps-nan",
             "simulate-eps-inf", "reconstruct-threshold-nan",
             "reconstruct-threshold-inf", "reconstruct-eps-nan",

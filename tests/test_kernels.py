@@ -1,6 +1,11 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +14,7 @@ from evtpr.errors import InvalidInputError
 from evtpr.kernels import (
     _DECODE_CHUNK,
     _STEB_CHUNK,
+    _gelu,
     _map_blocks,
     AttentionParams,
     ConvParams,
@@ -95,6 +101,29 @@ class TestCyclicShift:
         for i in range(4):
             for j in range(4):
                 assert out[0, 0, (i + 2) % 4, (j + 2) % 4] == x[0, 0, i, j]
+
+
+class TestGelu:
+    def test_against_float64_erf_on_dense_grid(self):
+        from scipy.special import erf
+        x = np.linspace(-20.0, 20.0, 2_000_001, dtype=np.float32)
+        x64 = x.astype(np.float64)
+        exact = 0.5 * x64 * (1.0 + erf(x64 / math.sqrt(2.0)))
+        out = _gelu(x.copy())
+        assert out.dtype == np.float32
+        assert np.abs(out - exact).max() <= 5e-7
+
+    def test_zero_at_signed_zero(self):
+        out = _gelu(np.array([0.0, -0.0], np.float32))
+        assert np.all(out == 0.0)
+
+    def test_non_finite_input_stays_non_finite(self):
+        # so the NumericError checks downstream still fire
+        x = np.array([np.inf, -np.inf, np.nan, 1.0], np.float32)
+        with np.errstate(invalid="ignore"):
+            out = _gelu(x)
+        assert not np.isfinite(out[:3]).any()
+        assert np.isfinite(out[3])
 
 
 class TestLayerNorm:
@@ -347,6 +376,107 @@ class TestResampling:
                           bias=np.zeros(1, np.float32))
         with pytest.raises(InvalidInputError):
             downsample_half(np.zeros((1, 1, 5, 4), np.float32), down)
+
+
+def brute_upsample_double(x, weight, bias):
+    """Nearest x2 by np.repeat, then a zero-padded 3x3 convolution as a
+    9-tap loop, in float64."""
+    up = np.repeat(np.repeat(x.astype(np.float64), 2, axis=-2), 2, axis=-1)
+    h, w = up.shape[-2:]
+    padded = np.zeros(up.shape[:-2] + (h + 2, w + 2))
+    padded[..., 1:-1, 1:-1] = up
+    out = np.zeros(up.shape[:-3] + (weight.shape[0], h, w))
+    for di in range(3):
+        for dj in range(3):
+            tap = padded[..., di:di + h, dj:dj + w]
+            out += np.tensordot(tap, weight[:, :, di, dj].astype(np.float64),
+                                axes=([-3], [1])).transpose(*range(up.ndim - 3), -1, -3, -2)
+    return out + bias.astype(np.float64)[:, None, None]
+
+
+def brute_downsample_half(x, weight, bias):
+    """Stride-2 2x2 convolution as a 4-tap loop, in float64."""
+    x64 = x.astype(np.float64)
+    out = bias.astype(np.float64)[:, None, None]
+    for di in range(2):
+        for dj in range(2):
+            tap = x64[..., di::2, dj::2]
+            out = out + np.tensordot(tap, weight[:, :, di, dj].astype(np.float64),
+                                     axes=([-3], [1])).transpose(*range(x.ndim - 3), -1, -3, -2)
+    return out
+
+
+def rand_conv(rng, c_in, c_out, k):
+    return ConvParams(weight=rng.standard_normal((c_out, c_in, k, k)).astype(np.float32),
+                      bias=rng.standard_normal(c_out).astype(np.float32))
+
+
+class TestResamplingBruteForce:
+    # (leading axes, in channels, out channels, H, W)
+    SHAPES = [((3,), 4, 4, 8, 8), ((2,), 3, 5, 5, 7), ((1,), 16, 16, 16, 16),
+              ((2, 3), 2, 6, 6, 10), ((2, 2), 5, 3, 3, 1)]
+
+    @pytest.mark.parametrize("lead,c_in,c_out,h,w", SHAPES)
+    def test_upsample_double(self, lead, c_in, c_out, h, w):
+        rng = np.random.default_rng(h * 31 + w)
+        x = rng.standard_normal(lead + (c_in, h, w)).astype(np.float32)
+        conv = rand_conv(rng, c_in, c_out, 3)
+        out = upsample_double(x, conv)
+        ref = brute_upsample_double(x, conv.weight, conv.bias)
+        assert out.dtype == np.float32
+        assert out.shape == ref.shape == lead + (c_out, 2 * h, 2 * w)
+        assert np.abs(out - ref).max() <= 1e-5 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("lead,c_in,c_out,h,w", SHAPES)
+    def test_downsample_half(self, lead, c_in, c_out, h, w):
+        rng = np.random.default_rng(h * 37 + w)
+        h, w = 2 * h, 2 * w  # even, with odd and non-square halves
+        x = rng.standard_normal(lead + (c_in, h, w)).astype(np.float32)
+        conv = rand_conv(rng, c_in, c_out, 2)
+        out = downsample_half(x, conv)
+        ref = brute_downsample_half(x, conv.weight, conv.bias)
+        assert out.dtype == np.float32
+        assert out.shape == ref.shape == lead + (c_out, h // 2, w // 2)
+        assert np.abs(out - ref).max() <= 1e-5 * np.abs(ref).max()
+
+    def test_upsample_border_taps(self):
+        # a single input pixel: every output pixel sees it through the taps
+        # that stay inside the zero padding, so each phase sums a different
+        # subset of the kernel
+        w = np.arange(9, dtype=np.float32).reshape(1, 1, 3, 3) + 1.0
+        out = upsample_double(np.ones((1, 1, 1, 1), np.float32),
+                              ConvParams(weight=w, bias=np.zeros(1, np.float32)))
+        k = w[0, 0]
+        assert np.array_equal(out[0, 0], [[k[1:, 1:].sum(), k[1:, :2].sum()],
+                                          [k[:2, 1:].sum(), k[:2, :2].sum()]])
+
+
+def test_pipeline_runs_without_scipy():
+    # GELU needs no scipy, so a whole forward pass must run with every
+    # scipy import failing
+    code = textwrap.dedent("""
+        import sys
+        sys.modules["scipy"] = None  # any scipy import now raises ImportError
+        import numpy as np
+        from evtpr import (IntensityFrame, PipelineConfig, init_pipeline_params,
+                           pipeline_forward, simulate_events)
+        frames = [IntensityFrame(timestamp=i * 1000,
+                                 pixels=np.full((16, 16, 3), 0.2 + 0.2 * i))
+                  for i in range(3)]
+        config = PipelineConfig(n_in=3, c_r=8, c_t=16, c_ts=8, encoder_depth=2)
+        outs, _ = pipeline_forward(frames, simulate_events(frames, C=0.2), 1.5,
+                                   [0.5], config, init_pipeline_params(config, 0))
+        assert outs[0].shape == (24, 24, 3)
+        assert "scipy.special" not in sys.modules
+        print("ok")
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "ok"
 
 
 def naive_conv1x1(x, weight, bias):

@@ -142,6 +142,23 @@ class TestPipeline:
         with pytest.raises(InvalidInputError):
             pipeline_forward(frames, stream, 0.5, [0.5], config, params)
 
+    def test_output_too_large_for_memory_fails_before_any_work(self, monkeypatch):
+        # a 16e6 x 16e6 output: intp can size its 4 PiB query array, but
+        # nothing can allocate it
+        import evtpr.pipeline
+
+        def never(*args, **kwargs):
+            raise AssertionError("pipeline work ran")
+
+        monkeypatch.setattr(evtpr.pipeline, "build_voxel_grid", never)
+        monkeypatch.setattr(evtpr.pipeline, "holistic_extractor_forward", never)
+        frames = toy_clip()
+        stream = simulate_events(frames, C=0.2)
+        config = toy_config()
+        params = init_pipeline_params(config, 0)
+        with pytest.raises(InvalidInputError, match="too large for memory"):
+            pipeline_forward(frames, stream, 1e6, [0.5], config, params)
+
     @pytest.mark.parametrize("field,value", [
         ("tpr_ratio", float("nan")), ("tpr_ratio", float("inf")), ("tpr_ratio", 1.0),
         ("tpr_half_window_fraction", float("nan")),

@@ -1,3 +1,5 @@
+import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -52,6 +54,17 @@ class TestVoxelGrid:
             build_voxel_grid(stream, 0, 0, 100)
         with pytest.raises(InvalidInputError):
             build_voxel_grid(stream, 4, 100, 100)
+
+    @pytest.mark.parametrize("t0,t1", [
+        (-math.inf, 5000), (math.inf, 5000), (math.nan, 5000),
+        (0, -math.inf), (0, math.inf), (0, math.nan),
+    ])
+    def test_non_finite_window_bounds_rejected(self, rng, t0, t1):
+        stream = random_stream(rng, n=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before any arithmetic
+            with pytest.raises(InvalidInputError, match="finite"):
+                build_voxel_grid(stream, 4, t0, t1)
 
 
 class TestTemporalPyramid:
