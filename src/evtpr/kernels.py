@@ -4,10 +4,14 @@ down/up-sampling, holistic/regional extractors, temporal embedding, and
 area-weighted spatial decoding.
 
 Everything here is pure float32 numpy with explicitly supplied parameters;
-no training, no hidden state. STEB arithmetic is float32 end to end,
-layer norm, softmax and GELU included (only the layer-norm mean and the
-softmax row-sum check accumulate in float64); tests/reference.py keeps the
-float64-internal originals, and the outputs agree with them to 1e-5.
+no training, no hidden state, no scipy. STEB arithmetic is float32 end to
+end, layer norm, softmax and GELU included (only the layer-norm mean and the
+softmax row-sum check accumulate in float64); GELU takes the normal tail
+from Abramowitz & Stegun 7.1.26 in place of erf. Both resampling
+convolutions run as BLAS GEMMs over gathered taps, the x2 upsampling as four
+sub-pixel phases with no x2 tensor. tests/reference.py keeps the
+float64-internal and straightforward originals, and the outputs agree with
+them to 1e-5.
 
 The STEBs and the decoder split their work into fixed-size blocks,
 _STEB_CHUNK attention windows or _DECODE_CHUNK queries, and run them on
@@ -469,7 +473,7 @@ def upsample_double(x: np.ndarray, params: ConvParams) -> np.ndarray:
     """Nearest-neighbor x2 followed by a zero-padded 3x3 convolution.
 
     Computed as a sub-pixel convolution (Shi et al., CVPR 2016), without
-    the x2 tensor: output phase (a, b), the pixels out[..., a::2, b::2],
+    the x2 tensor: output phase (pi, pj), the pixels out[..., pi::2, pj::2],
     is a 2x2 convolution of the input, zero-padded once, whose four taps
     are the sums of the 3x3 taps that land on the same input pixel. Each
     phase gathers its four taps into one ... x 4C x (H * W) buffer and runs
@@ -487,7 +491,9 @@ def upsample_double(x: np.ndarray, params: ConvParams) -> np.ndarray:
     out = np.empty((*lead, o, 2 * h, 2 * wd), np.float32)
     for pi in range(2):
         for pj in range(2):
-            # o x c x 2 x 2 phase kernel, flattened to the (u, v, c) order of taps
+            # the o x c x 2 x 2 phase kernel, flattened to the (u, v, c) order
+            # of the taps (a (c, u, v) order sums in another order and moves
+            # the TestBrightOutputDigest bytes)
             k = _PHASE_TAPS[pi] @ w @ _PHASE_TAPS[pj].T
             k = k.transpose(0, 2, 3, 1).reshape(o, 4 * c)
             for u in range(2):

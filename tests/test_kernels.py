@@ -439,17 +439,6 @@ class TestResamplingBruteForce:
         assert out.shape == ref.shape == lead + (c_out, h // 2, w // 2)
         assert np.abs(out - ref).max() <= 1e-5 * np.abs(ref).max()
 
-    def test_upsample_border_taps(self):
-        # a single input pixel: every output pixel sees it through the taps
-        # that stay inside the zero padding, so each phase sums a different
-        # subset of the kernel
-        w = np.arange(9, dtype=np.float32).reshape(1, 1, 3, 3) + 1.0
-        out = upsample_double(np.ones((1, 1, 1, 1), np.float32),
-                              ConvParams(weight=w, bias=np.zeros(1, np.float32)))
-        k = w[0, 0]
-        assert np.array_equal(out[0, 0], [[k[1:, 1:].sum(), k[1:, :2].sum()],
-                                          [k[:2, 1:].sum(), k[:2, :2].sum()]])
-
 
 def test_pipeline_runs_without_scipy():
     # GELU needs no scipy, so a whole forward pass must run with every
