@@ -492,8 +492,8 @@ def upsample_double(x: np.ndarray, params: ConvParams) -> np.ndarray:
     for pi in range(2):
         for pj in range(2):
             # the o x c x 2 x 2 phase kernel, flattened to the (u, v, c) order
-            # of the taps (a (c, u, v) order sums in another order and moves
-            # the TestBrightOutputDigest bytes)
+            # of the taps; this order fixes the GEMM's float32 summation
+            # order, which the output digests pin
             k = _PHASE_TAPS[pi] @ w @ _PHASE_TAPS[pj].T
             k = k.transpose(0, 2, 3, 1).reshape(o, 4 * c)
             for u in range(2):
