@@ -145,9 +145,12 @@ def parse_manifest(text: str) -> list[WindowPlan]:
         fields = line.split()
         if len(fields) != 6:
             raise InvalidInputError("malformed manifest line: %r" % line)
-        start, w, n_in, skip = (int(v) for v in fields[:4])
-        inputs = tuple(int(v) for v in fields[4].removeprefix("inputs=").split(","))
-        gts = tuple(int(v) for v in fields[5].removeprefix("gts=").split(","))
+        try:
+            start, w, n_in, skip = (int(v) for v in fields[:4])
+            inputs = tuple(int(v) for v in fields[4].removeprefix("inputs=").split(","))
+            gts = tuple(int(v) for v in fields[5].removeprefix("gts=").split(","))
+        except ValueError:
+            raise InvalidInputError("non-integer manifest field: %r" % line) from None
         plans.append(WindowPlan(start=start, window_size=w, n_in=n_in,
                                 skip=skip, input_indices=inputs, gt_indices=gts))
     return plans

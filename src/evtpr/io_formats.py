@@ -9,6 +9,8 @@ t u64 | x u16 | y u16 | p i8 | 3 pad bytes.
 Tensor file ("TNS1"): magic 4s | ndim u32 | ndim x u32 dims | row-major
 float32 payload.
 
+Event CSV: one `t,x,y,p` line of decimal integers per event.
+
 Frames are binary portable pixmaps: PGM (P5) for luma, PPM (P6) for RGB,
 8-bit with maxval 255, mapped to [0, 1] by /255 on read.
 """
@@ -20,7 +22,7 @@ import io
 import math
 import os
 import struct
-from typing import BinaryIO, Union
+from typing import IO, BinaryIO, Union
 
 import numpy as np
 
@@ -41,7 +43,7 @@ PathOrStream = Union[str, os.PathLike, BinaryIO]
 
 
 @contextlib.contextmanager
-def _binary(dest: PathOrStream, mode: str):
+def _opened(dest: Union[str, os.PathLike, IO], mode: str):
     if isinstance(dest, (str, os.PathLike)):
         with open(dest, mode) as fh:
             yield fh
@@ -50,7 +52,7 @@ def _binary(dest: PathOrStream, mode: str):
 
 
 def write_events(stream: EventStream, dest: PathOrStream) -> None:
-    with _binary(dest, "wb") as fh:
+    with _opened(dest, "wb") as fh:
         fh.write(EVENT_HEADER.pack(EVENT_MAGIC, EVENT_VERSION,
                                     stream.sensor_width, stream.sensor_height,
                                     len(stream), stream.t_begin, stream.t_end))
@@ -100,83 +102,68 @@ def _record_dtype() -> np.dtype:
 
 
 def read_events(src: PathOrStream) -> EventStream:
-    with _binary(src, "rb") as fh:
-        head = fh.read(EVENT_HEADER.size)
-        if len(head) != EVENT_HEADER.size:
-            raise FormatError("truncated event header")
+    with _opened(src, "rb") as fh:
+        head = _read_exactly(fh, EVENT_HEADER.size, "event header")
         magic, version, width, height, count, t_begin, t_end = EVENT_HEADER.unpack(head)
         if magic != EVENT_MAGIC:
             raise FormatError("bad event-file magic")
         if version != EVENT_VERSION:
             raise FormatError("unsupported event-file version %d" % version)
-        if t_begin > t_end:
-            raise FormatError("t_begin exceeds t_end")
         payload = _read_exactly(fh, count * EVENT_RECORD.size, "event payload")
         rec = np.frombuffer(payload, dtype=_record_dtype())
-        try:
-            return EventStream(
-                sensor_width=width, sensor_height=height,
-                t_begin=t_begin, t_end=t_end,
-                t=rec["t"].astype(np.int64),
-                x=rec["x"].astype(np.int32),
-                y=rec["y"].astype(np.int32),
-                p=rec["p"].astype(np.int8),
-            )
-        except ValueError as exc:
-            raise FormatError(str(exc)) from exc
+        return _checked_stream(width, height, t_begin, t_end,
+                               rec["t"], rec["x"], rec["y"], rec["p"])
+
+
+def _checked_stream(width, height, t_begin, t_end, t, x, y, p) -> EventStream:
+    """EventStream of decoded fields; a value it rejects is a FormatError."""
+    try:
+        return EventStream(sensor_width=width, sensor_height=height,
+                           t_begin=t_begin, t_end=t_end, t=t, x=x, y=y, p=p)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def write_events_csv(stream: EventStream, dest: Union[str, os.PathLike, io.TextIOBase]) -> None:
     """Plain `t,x,y,p` lines, one event per line."""
-    lines = ["%d,%d,%d,%d\n" % (t, x, y, p)
-             for x, y, t, p in stream]
-    text = "".join(lines)
-    if isinstance(dest, (str, os.PathLike)):
-        with open(dest, "w") as fh:
-            fh.write(text)
-    else:
-        dest.write(text)
+    fields = zip(stream.t.tolist(), stream.x.tolist(), stream.y.tolist(), stream.p.tolist())
+    with _opened(dest, "w") as fh:
+        fh.write("".join(map("%d,%d,%d,%d\n".__mod__, fields)))
 
 
 def read_events_csv(src: Union[str, os.PathLike, io.TextIOBase],
                     sensor_width: int, sensor_height: int,
                     t_begin: int, t_end: int) -> EventStream:
-    if isinstance(src, (str, os.PathLike)):
-        with open(src) as fh:
-            text = fh.read()
-    else:
-        text = src.read()
-    ts, xs, ys, ps = [], [], [], []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise FormatError("malformed event CSV line: %r" % line)
+    """Events from `t,x,y,p` lines, as `write_events_csv` writes them.
+
+    Empty lines are skipped and CRLF line ends accepted. Any other line
+    without four comma-separated int64 fields, a line of spaces too, is a
+    FormatError, and so are non-ASCII text and a value the stream rejects.
+    """
+    with _opened(src, "r") as fh:
         try:
-            t, x, y, p = (int(v) for v in parts)
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError("event CSV must be ASCII text: %s" % exc) from exc
+    # numpy 2.4.6's loadtxt misreads or segfaults on some non-ASCII fields
+    if not text.isascii():
+        raise FormatError("event CSV must be ASCII text")
+    rows = np.empty((0, 4), np.int64)
+    if text.strip():  # loadtxt warns on input without data
+        try:
+            rows = np.loadtxt(io.StringIO(text), np.int64, delimiter=",",
+                              comments=None, ndmin=2)
         except ValueError as exc:
-            raise FormatError("non-integer event CSV field: %r" % line) from exc
-        ts.append(t)
-        xs.append(x)
-        ys.append(y)
-        ps.append(p)
-    try:
-        return EventStream(
-            sensor_width=sensor_width, sensor_height=sensor_height,
-            t_begin=t_begin, t_end=t_end,
-            t=np.array(ts, np.int64), x=np.array(xs, np.int32),
-            y=np.array(ys, np.int32), p=np.array(ps, np.int8),
-        )
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+            raise FormatError("malformed event CSV: %s" % exc) from exc
+    if rows.shape[1] != 4:
+        raise FormatError("event CSV lines need 4 fields, not %d" % rows.shape[1])
+    return _checked_stream(sensor_width, sensor_height, t_begin, t_end, *rows.T)
 
 
 def write_tensor(data: np.ndarray, dest: PathOrStream) -> None:
     # np.ascontiguousarray would promote 0-dim scalars to 1-dim
     arr = np.require(np.asarray(data), dtype="<f4", requirements=["C"])
-    with _binary(dest, "wb") as fh:
+    with _opened(dest, "wb") as fh:
         fh.write(TENSOR_MAGIC)
         fh.write(struct.pack("<I", arr.ndim))
         fh.write(struct.pack("<%dI" % arr.ndim, *arr.shape))
@@ -184,18 +171,12 @@ def write_tensor(data: np.ndarray, dest: PathOrStream) -> None:
 
 
 def read_tensor(src: PathOrStream) -> np.ndarray:
-    with _binary(src, "rb") as fh:
+    with _opened(src, "rb") as fh:
         magic = fh.read(4)
         if magic != TENSOR_MAGIC:
             raise FormatError("bad tensor-file magic")
-        raw = fh.read(4)
-        if len(raw) != 4:
-            raise FormatError("truncated tensor header")
-        (ndim,) = struct.unpack("<I", raw)
-        raw = fh.read(4 * ndim)
-        if len(raw) != 4 * ndim:
-            raise FormatError("truncated tensor dims")
-        dims = struct.unpack("<%dI" % ndim, raw) if ndim else ()
+        (ndim,) = struct.unpack("<I", _read_exactly(fh, 4, "tensor header"))
+        dims = struct.unpack("<%dI" % ndim, _read_exactly(fh, 4 * ndim, "tensor dims"))
         payload = _read_exactly(fh, 4 * math.prod(dims), "tensor payload")
         if fh.read(1):
             raise FormatError("trailing bytes after tensor payload")
@@ -212,13 +193,13 @@ def write_frame(pixels: np.ndarray, dest: PathOrStream) -> None:
         raise FormatError("expected HxW or HxWx3 pixel array")
     quant = np.clip(np.rint(np.asarray(pixels, np.float64) * 255.0), 0, 255)
     h, w = pixels.shape[:2]
-    with _binary(dest, "wb") as fh:
+    with _opened(dest, "wb") as fh:
         fh.write(magic + b"\n%d %d\n255\n" % (w, h))
         fh.write(quant.astype(np.uint8).tobytes())
 
 
 def read_frame(src: PathOrStream) -> np.ndarray:
-    with _binary(src, "rb") as fh:
+    with _opened(src, "rb") as fh:
         data = fh.read()
     magic, w_tok, h_tok, max_tok, start = _pnm_header(data)
     if magic not in (b"P5", b"P6"):

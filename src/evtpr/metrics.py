@@ -91,6 +91,8 @@ def evaluate(pred: np.ndarray, gt: np.ndarray, y_only: bool = True,
     """
     if pred.shape != gt.shape:
         raise InvalidInputError("shape mismatch")
+    if border_crop < 0:
+        raise InvalidInputError("border crop must be >= 0")
     if border_crop:
         if 2 * border_crop >= min(pred.shape[0], pred.shape[1]):
             raise InvalidInputError("border crop swallows the whole image")

@@ -154,7 +154,7 @@ def _query_grid(out_h: int, out_w: int, s: float) -> np.ndarray:
     allocated."""
     try:
         queries = np.empty((out_h * out_w, 2))
-    except MemoryError:
+    except (MemoryError, ValueError):  # ValueError: numpy cannot even size it
         raise InvalidInputError("scale %r gives a %dx%d output, too large for memory"
                                 % (s, out_h, out_w)) from None
     grid = queries.reshape(out_h, out_w, 2)
@@ -199,11 +199,6 @@ def pipeline_forward(frames: Sequence[IntensityFrame], stream: EventStream,
         raise InvalidInputError("scale %r overflows the output size" % s)
     out_h = int(math.floor(s * h + 1e-9))
     out_w = int(math.floor(s * w + 1e-9))
-    # the largest array per output pixel is the query array, 2 float64
-    # (16 bytes); numpy cannot even size one with more bytes than intp holds
-    if out_h * out_w > np.iinfo(np.intp).max // 16:
-        raise InvalidInputError("scale %r gives a %dx%d output, too large to address"
-                                % (s, out_h, out_w))
     config.validate_spatial(h, w)
     for f in frames:
         if f.channels != 3:

@@ -439,13 +439,14 @@ class TestNonFiniteFlags:
         ["reconstruct", "{frame}", "{events}", "--frame-time", "0", "--at",
          "2000", "--threshold", "0.2", "--eps", "nan"],
         ["bench", "{events}", "--repr", "tpr", "--ratio", "nan"],
+        ["metrics", "{clip}", "{clip}", "--border-crop", "-1"],
     ], ids=["pipeline-scale-nan", "pipeline-scale-inf", "pipeline-scale-1e308",
             "pipeline-scale-1e300", "pipeline-scale-1e8", "pipeline-scale-1e6",
             "pipeline-ratio-nan",
             "simulate-threshold-nan", "simulate-eps-nan",
             "simulate-eps-inf", "reconstruct-threshold-nan",
             "reconstruct-threshold-inf", "reconstruct-eps-nan",
-            "bench-ratio-nan"])
+            "bench-ratio-nan", "metrics-border-crop-negative"])
     def test_exits_4_without_output(self, rgb_clip, tmp_path, capsys, argv):
         d, events = rgb_clip
         out = tmp_path / "out"

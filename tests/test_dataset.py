@@ -76,6 +76,14 @@ class TestPlanWindows:
         first = text.splitlines()[0]
         assert first.startswith("1 7 3 2 inputs=1,4,7 ")
 
+    @pytest.mark.parametrize("line", ["1 2 3 x inputs=1 gts=1",
+                                      "1 2 3 4 inputs=1,a gts=1",
+                                      "1 2 3 4 inputs=1 gts="])
+    def test_manifest_non_integer_field(self, line):
+        text = "1 7 3 2 inputs=1,4,7 gts=1\n" + line + "\n"
+        with pytest.raises(InvalidInputError, match=line):
+            parse_manifest(text)
+
     def test_select_gt_frames(self):
         p = plan_windows(25, 4, 7)[0]
         rng = np.random.default_rng(3)

@@ -209,3 +209,83 @@ class TestReconstruct:
             recon = reconstruct_log_intensity(base, stream, f.timestamp, C=C)
             err = np.abs(recon - log_view(f)).max()
             assert err <= C + 1e-9
+
+
+def stream_of(t, x, y, p, w=8, h=8, t_begin=0, t_end=100):
+    return EventStream(sensor_width=w, sensor_height=h, t_begin=t_begin,
+                       t_end=t_end, t=t, x=x, y=y, p=p)
+
+
+class TestEventStreamStorage:
+    T, X, Y, P = [3, 5, 5, 90], [0, 7, 2, 1], [7, 0, 3, 3], [1, -1, 1, -1]
+
+    @pytest.mark.parametrize("dtypes", [
+        ("u8", "u2", "u2", "i1"),  # the EVT1 record's field types
+        ("i8", "i8", "i8", "i8"),
+        ("u1", "i2", "u4", "i4"),
+    ])
+    def test_stored_dtypes(self, dtypes):
+        stream = stream_of(*(np.array(v, d) for v, d in
+                             zip((self.T, self.X, self.Y, self.P), dtypes)))
+        arrays = (stream.t, stream.x, stream.y, stream.p)
+        assert [a.dtype for a in arrays] == [np.int64, np.int32, np.int32, np.int8]
+        assert all(a.flags.c_contiguous for a in arrays)
+        assert list(stream) == [Event(*e) for e in zip(self.X, self.Y, self.T, self.P)]
+
+    def test_record_fields_are_copied(self):
+        rec = np.zeros(4, [("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "i1")])
+        for name, v in zip("txyp", (self.T, self.X, self.Y, self.P)):
+            rec[name] = v
+        stream = stream_of(rec["t"], rec["x"], rec["y"], rec["p"])
+        for a in (stream.t, stream.x, stream.y, stream.p):
+            assert a.flags.c_contiguous and not np.shares_memory(a, rec)
+
+    @pytest.mark.parametrize("field,value", [
+        ("t", np.array([3.0, 5, 5, 90])), ("x", np.array([0.5, 7, 2, 1])),
+        ("p", np.array([True, False, True, False])), ("y", np.array([[7, 0, 3, 3]])),
+    ], ids=["float-t", "float-x", "bool-p", "2d-y"])
+    def test_non_integer_arrays_rejected(self, field, value):
+        arrays = {**dict(t=self.T, x=self.X, y=self.Y, p=self.P), field: value}
+        with pytest.raises(InvalidInputError, match="integer"):
+            stream_of(**arrays)
+
+    @pytest.mark.parametrize("field,value", [
+        ("t", np.array([5, 3, 5, 90], np.uint64)),
+        ("t", np.array([2 ** 63, 2 ** 63, 2 ** 63, 2 ** 63], np.uint64)),
+        ("x", np.array([2 ** 32, 7, 2, 1], np.int64)),
+        ("p", np.array([1, 1, 1, 255], np.uint8)),  # 255 wraps to -1
+        ("p", np.array([1, -1, 1, 257], np.int64)),
+    ], ids=["t-unsorted-u8", "t-2**63", "x-2**32", "p-255-u1", "p-257"])
+    def test_values_checked_before_narrowing(self, field, value):
+        arrays = {**dict(t=self.T, x=self.X, y=self.Y, p=self.P), field: value}
+        with pytest.raises(InvalidInputError):
+            stream_of(**arrays)
+
+    def test_unsorted_across_int64_range(self):
+        # their difference wraps around int64, so a diff would look sorted
+        with pytest.raises(InvalidInputError, match="sorted"):
+            stream_of([2 ** 62 + 1, -2 ** 62 - 1], [0, 0], [0, 0], [1, 1],
+                      t_begin=-2 ** 63, t_end=2 ** 63 - 1)
+
+    @pytest.mark.parametrize("event", [
+        Event(0, 0, 10, 300), Event(2 ** 40, 0, 10, 1), Event(0, 0, 2 ** 70, 1),
+        Event(0, -1, 10, 1), Event(0, 0, -2 ** 63, -1),
+    ], ids=["p-300", "x-2**40", "t-2**70", "y-negative", "t-before-begin"])
+    def test_from_events_out_of_range(self, event):
+        with pytest.raises(InvalidInputError):
+            EventStream.from_events([Event(1, 1, 5, 1), event], 8, 8, 0, 100)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(t_end=2 ** 63), dict(t_begin=-2 ** 63 - 1),
+        dict(w=2 ** 31 + 1), dict(h=2 ** 40),
+    ])
+    def test_bounds_beyond_stored_dtypes(self, kwargs):
+        with pytest.raises(InvalidInputError, match="exceed int"):
+            stream_of([], [], [], [], **kwargs)
+
+    def test_empty_default_arrays(self):
+        stream = EventStream(sensor_width=4, sensor_height=4, t_begin=0, t_end=10)
+        assert len(stream) == 0
+        assert stream.pixel.size == 0
+        assert [a.dtype for a in (stream.t, stream.x, stream.y, stream.p)] == \
+            [np.int64, np.int32, np.int32, np.int8]

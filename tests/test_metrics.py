@@ -101,3 +101,8 @@ class TestEvaluate:
         b[0, 0] = 1.0 - b[0, 0]  # corrupt only the border
         assert evaluate(a, b).psnr < math.inf
         assert evaluate(a, b, border_crop=2).psnr == math.inf
+
+    def test_negative_border_crop_rejected(self):
+        a = np.random.default_rng(7).random((20, 20))
+        with pytest.raises(InvalidInputError, match="border crop"):
+            evaluate(a, a.copy(), border_crop=-1)

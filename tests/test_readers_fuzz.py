@@ -1,7 +1,8 @@
-"""Random and mutated-valid bytes into the binary readers.
+"""Random and mutated-valid input into the readers.
 
-Whatever the bytes, a reader either decodes them or raises FormatError or
-InvalidInputError; any other exception would surface as a traceback.
+Whatever the bytes (or, for the event CSV reader, the text), a reader
+either decodes them or raises FormatError or InvalidInputError; any other
+exception would surface as a traceback.
 """
 
 import io
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from evtpr import EventStream, FormatError, InvalidInputError
 from evtpr.io_formats import (
     read_events,
+    read_events_csv,
     read_frame,
     read_tensor,
     write_events,
@@ -107,3 +109,36 @@ def test_random_bytes(reader, valid, keep, raw):
 @given(data=st.data())
 def test_mutated_valid_bytes(reader, valid, data):
     _decodes_or_rejects(reader, data.draw(mutated(valid)))
+
+
+# the events of _valid_events(), on the same 5x3 sensor and [10, 90] span
+VALID_CSV = "10,0,2,1\n20,4,0,-1\n20,2,1,1\n70,1,1,-1\n"
+
+
+def _csv_decodes_or_rejects(text: str) -> None:
+    try:
+        read_events_csv(io.StringIO(text), 5, 3, 10, 90)
+    except (FormatError, InvalidInputError):
+        pass
+
+
+def test_valid_csv_decodes():
+    assert list(read_events_csv(io.StringIO(VALID_CSV), 5, 3, 10, 90)) == \
+        list(read_events(io.BytesIO(_valid_events())))
+
+
+# characters that change a CSV line's meaning
+CSV_TEXT = st.text(st.sampled_from("0123456789,-+ .e_x#\t\r\n\x00"), max_size=96)
+
+
+@FUZZ
+@given(text=CSV_TEXT | st.text(max_size=96))
+def test_random_csv_text(text):
+    _csv_decodes_or_rejects(text)
+    _csv_decodes_or_rejects(VALID_CSV + text)
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_valid_csv(data):
+    _csv_decodes_or_rejects(data.draw(mutated(VALID_CSV.encode())).decode("latin-1"))
