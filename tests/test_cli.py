@@ -328,7 +328,9 @@ class TestOutputDigest:
     """SHA-256 of the CLI's output bytes for one fixed config.
 
     Any intended change to simulated events or to pipeline output values
-    must update these digests in the same change and say so.
+    must update these digests in the same change and say so. The bytes
+    belong to OpenBLAS's Haswell sgemm kernel, which CI pins with
+    OPENBLAS_CORETYPE=Haswell; another kernel may round differently.
     """
 
     EVENTS = "2fdab55685e25597a6becd630b6bb68976a2646661c6af6315dd02394581f8cf"

@@ -31,7 +31,7 @@ def test_pipeline_matches_reference(config, side, s, times):
                    init_pipeline_params(config, 3))
 
 
-@pytest.mark.parametrize("s", [1.0, 2.5])
+@pytest.mark.parametrize("s", [1.0, 2.0, 2.5, 8.0])
 def test_bright_pipeline_matches_reference(bright_pipeline, s):
     # output spanning [0, 1], so a wrong pixel cannot hide near black
     frames, stream, config, params = bright_pipeline
