@@ -9,12 +9,15 @@ end, layer norm, softmax and GELU included (only the layer-norm mean and the
 softmax row-sum check accumulate in float64); GELU takes the normal tail
 from Abramowitz & Stegun 7.1.26 in place of erf. Both resampling
 convolutions run as BLAS GEMMs over gathered taps, the x2 upsampling as four
-sub-pixel phases with no x2 tensor. tests/reference.py keeps the
-float64-internal and straightforward originals, and the outputs agree with
-them to 1e-5.
+sub-pixel phases with no x2 tensor. The decoder, given a whole output grid
+(QueryGrid) at an integer scale s, decodes it by sub-pixel phase too: each
+of the s * s phases reads shifted views of one per-cell table, and only the
+clamped border band and other queries are decoded per query.
+tests/reference.py keeps the float64-internal and straightforward
+originals, and the outputs agree with them to 1e-5.
 
 The STEBs and the decoder split their work into fixed-size blocks,
-_STEB_CHUNK attention windows or _DECODE_CHUNK queries, and run them on
+_STEB_CHUNK attention windows or at most _DECODE_CHUNK queries, and run them on
 `threads` threads (the caller and threads - 1 pool workers). Block
 boundaries are module constants and never depend on `threads`, so every
 output is byte-identical for any thread count. BLAS is kept to one thread
@@ -625,16 +628,72 @@ def timestamp_head(t: float, fuse: ConvParams, params: TemporalEmbedParams) -> C
 # ---------------------------------------------------------------------------
 # implicit spatial decoding
 
-# Queries per decode chunk. A chunk's temporaries are 4 * _DECODE_CHUNK rows
-# of the decoder's hidden width (4 MB at width 64), so peak memory does not
-# grow with the output size, and blocks that small are reused from the heap
-# rather than mapped (and page-faulted) afresh for every layer.
-_DECODE_CHUNK = 4096
+# Queries per decode block, on both paths. A block's temporaries are
+# 4 * _DECODE_CHUNK rows of the decoder's hidden width (1 MB at width 64), so
+# peak memory does not grow with the output size, and blocks that small are
+# reused from the heap rather than mapped (and page-faulted) afresh for every
+# layer. 1024 rather than 4096: on the per-query path alone it took 4.6% off
+# an upscale-x8 clip (5 pairs), and phase blocks of 4096 queries were no
+# faster than the per-query path (1224 vs 1238 ms of decode per clip).
+_DECODE_CHUNK = 1024
 
 
-def spatial_decode(feature: np.ndarray, queries: np.ndarray, s: float,
+@dataclass(frozen=True)
+class QueryGrid:
+    """The pixel centres of an out_h x out_w output grid at scale s, as
+    spatial_decode queries: output pixel (Y, X) is the query
+    ((X + 0.5) / s, (Y + 0.5) / s), in row-major order.
+
+    np.asarray gives the (out_h * out_w) x 2 float64 (x, y) array; passed
+    as it is, it tells spatial_decode that its queries are a whole grid.
+    """
+    out_h: int
+    out_w: int
+    s: float
+
+    def __len__(self) -> int:
+        return self.out_h * self.out_w
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        q = np.empty((len(self), 2))
+        grid = q.reshape(self.out_h, self.out_w, 2)
+        grid[..., 0] = (np.arange(self.out_w) + 0.5) / self.s
+        grid[..., 1] = ((np.arange(self.out_h) + 0.5) / self.s)[:, None]
+        return q if dtype is None else q.astype(dtype, copy=False)
+
+
+def _corners(qx: np.ndarray, qy: np.ndarray, h: int, w: int):
+    """Corner cells, offsets and area weights of queries (qx, qy) on an
+    h x w grid (spatial_decode's docstring has the rules).
+
+    Returns rows, cols, dx, dy and weights, each 4 x len(qx): corner k of a
+    query is cell (rows[k], cols[k]) at offset (dx[k], dy[k]) from its
+    centre, in the order (i0, j0), (i0, j1), (i1, j0), (i1, j1).
+    """
+    j0 = np.clip(np.floor(qx - 0.5).astype(np.int64), 0, w - 1)
+    i0 = np.clip(np.floor(qy - 0.5).astype(np.int64), 0, h - 1)
+    j1 = np.minimum(j0 + 1, w - 1)
+    i1 = np.minimum(i0 + 1, h - 1)
+    rows = np.stack([i0, i0, i1, i1])
+    cols = np.stack([j0, j1, j0, j1])
+    dx = qx - (cols + 0.5)
+    dy = qy - (rows + 0.5)
+    # corner k is weighted by the area to the opposite corner, 3 - k, a
+    # product of per-axis factors; all-zero factors become 1
+    ax = np.abs(dx[::-1])
+    ay = np.abs(dy[::-1])
+    ax[:, ~ax.any(axis=0)] = 1.0
+    ay[:, ~ay.any(axis=0)] = 1.0
+    weights = ax * ay
+    weights /= weights.sum(axis=0)
+    return rows, cols, dx, dy, weights
+
+
+def spatial_decode(feature: np.ndarray, queries, s: float,
                    decoder: MlpParams, threads: int = 1) -> np.ndarray:
     """Decode RGB at continuous (x, y) query points over a C x h x w grid.
+
+    `queries` is an N x 2 array of (x, y) points or a QueryGrid.
 
     Cell (i, j) has its center at (j + 0.5, i + 0.5); the grid's continuous
     extent is [0, w] x [0, h]. Per query the four nearest cells each decode
@@ -654,21 +713,38 @@ def spatial_decode(feature: np.ndarray, queries: np.ndarray, s: float,
     The decoder's first layer is linear in feature || offset, so it splits
     into a per-cell part, W1[:, :C] f + b1, computed once for each of the
     h*w cells, and a per-corner part, dx W1[:, C] + dy W1[:, C+1], added to
-    the gathered row of the corner's cell. Queries are decoded in chunks of
-    _DECODE_CHUNK, the four corners of a chunk as one batch through the
-    remaining layers, so memory stays bounded at any output size. Chunks
-    share the per-cell table and run on `threads` threads.
+    the corner's cell row. The four corners of a block of queries run as
+    one batch through the remaining layers, so memory stays bounded at any
+    output size. Blocks share the per-cell table and run on `threads`
+    threads.
+
+    Given QueryGrid(s * h, s * w, s) at an integer s, every output pixel
+    whose four corners are unclamped is decoded by sub-pixel phase, as
+    upsample_double does (Shi et al., CVPR 2016): the pixels of one phase,
+    out[y0::s, x0::s], share their four offsets and weights, so each corner
+    is the per-cell table shifted by (0 or 1, 0 or 1) cells plus one offset
+    row, with no per-query geometry or gather. Blocks are (phase, block of
+    cell rows) pairs. The rest run per query, through the same code as any
+    query array: the clamped border band (about s / 2 pixels on each side),
+    any non-integer s, and any other queries. Both paths run the same
+    float32 operations on each pixel. Where s is a power of two, so that
+    offsets are exact, they agree to the bit unless BLAS rounds a block
+    with another kernel: OpenBLAS does so for GEMMs under about 77k
+    multiply-adds, which here means blocks of fewer than about 100 queries.
     """
     if not 1 <= s < math.inf:
         raise InvalidInputError("scale must be finite and >= 1")
     c, h, w = feature.shape
     if decoder.in_dim != c + 2:
         raise InvalidInputError("decoder input dim must be feature channels + 2")
-    q = np.asarray(queries, np.float64)
-    if q.ndim != 2 or q.shape[1] != 2:
-        raise InvalidInputError("queries must be N x 2 (x, y)")
-    if not np.all((q >= 0) & (q <= (w, h))):
-        raise InvalidInputError("query outside the feature grid extent")
+    phased = isinstance(queries, QueryGrid) and queries.s == s and \
+        float(s).is_integer() and (queries.out_h, queries.out_w) == (s * h, s * w)
+    if not phased:
+        q = np.asarray(queries, np.float64)
+        if q.ndim != 2 or q.shape[1] != 2:
+            raise InvalidInputError("queries must be N x 2 (x, y)")
+        if not np.all((q >= 0) & (q <= (w, h))):
+            raise InvalidInputError("query outside the feature grid extent")
 
     w1 = decoder.weights[0]
     cell = _f32(feature).reshape(c, h * w).T @ w1[:, :c].T  # (h*w) x hidden
@@ -678,34 +754,72 @@ def spatial_decode(feature: np.ndarray, queries: np.ndarray, s: float,
     rest = MlpParams(weights=decoder.weights[1:], biases=decoder.biases[1:],
                      activations=decoder.activations[1:])
 
-    n = q.shape[0]
-    out = np.empty((n, decoder.out_dim), np.float32)
+    def offset_rows(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+        return np.stack([dx.ravel(), dy.ravel()], axis=1).astype(np.float32) @ w_offset
 
-    def block(start: int) -> None:
+    def blend(hidden: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        # hidden: first-layer pre-activations of 4 x n corners, corner-major
+        rgb = mlp_forward(first_act(hidden), rest).reshape(4, weights.shape[1], -1)
+        return np.einsum("kn,knc->nc", weights.astype(np.float32), rgb)
+
+    blocks = []  # phase blocks (p, i, j), run before the per-query blocks
+    at = None  # output row of each per-query query, where not its own index
+    if phased:
+        # Phase p = py * s + px covers the pixels Y = fy[p] + s i, X = fx[p] + s j
+        # of cells i < h - 1, j < w - 1. Its first pixel (fy, fx) has corner 0
+        # at cell (0, 0) and fixes its geometry, and its corner tables are
+        # table[:-1, :-1], table[:-1, 1:], table[1:, :-1] and table[1:, 1:].
+        # Every other pixel is border and decoded per query.
+        s = int(s)
+        out_h, out_w = s * h, s * w
+        out = np.empty((out_h * out_w, decoder.out_dim), np.float32)
+        out3 = out.reshape(out_h, out_w, -1)
+        first = np.arange(s) + s * (2 * np.arange(s) + 1 < s)
+        inner_y = np.zeros(out_h, bool)
+        inner_x = np.zeros(out_w, bool)
+        if h > 1 and w > 1:
+            for f in first:
+                inner_y[f:f + s * (h - 1):s] = True
+                inner_x[f:f + s * (w - 1):s] = True
+            fy, fx = np.repeat(first, s), np.tile(first, s)
+            _, _, dx, dy, phase_weights = _corners((fx + 0.5) / s, (fy + 0.5) / s, h, w)
+            offsets = offset_rows(dx, dy).reshape(4, s * s, -1)
+            table = cell.reshape(h, w, -1)
+            rows = max(1, _DECODE_CHUNK // (w - 1))
+            cols = min(w - 1, _DECODE_CHUNK)
+            blocks = [(p, i, j) for p in range(s * s) for i in range(0, h - 1, rows)
+                      for j in range(0, w - 1, cols)]
+        at = np.flatnonzero(~(inner_y[:, None] & inner_x))
+        q = np.stack([(at % out_w + 0.5) / s, (at // out_w + 0.5) / s], axis=1)
+    else:
+        out = np.empty((len(q), decoder.out_dim), np.float32)
+
+    def phase_block(p: int, i: int, j: int) -> None:
+        ni, nj = min(rows, h - 1 - i), min(cols, w - 1 - j)
+        hidden = np.empty((4, ni, nj, table.shape[2]), np.float32)
+        for k, (a, b) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+            np.add(table[i + a:i + a + ni, j + b:j + b + nj], offsets[k, p],
+                   out=hidden[k])
+        rgb = blend(hidden.reshape(4 * ni * nj, -1),
+                    np.repeat(phase_weights[:, p:p + 1], ni * nj, axis=1))
+        y0, x0 = fy[p] + s * i, fx[p] + s * j
+        out3[y0:y0 + s * ni:s, x0:x0 + s * nj:s] = rgb.reshape(ni, nj, -1)
+
+    def query_block(start: int) -> None:
         qx, qy = q[start:start + _DECODE_CHUNK].T
-        j0 = np.clip(np.floor(qx - 0.5).astype(np.int64), 0, w - 1)
-        i0 = np.clip(np.floor(qy - 0.5).astype(np.int64), 0, h - 1)
-        j1 = np.minimum(j0 + 1, w - 1)
-        i1 = np.minimum(i0 + 1, h - 1)
-        rows = np.stack([i0, i0, i1, i1])  # corner x query
-        cols = np.stack([j0, j1, j0, j1])
-        dx = qx - (cols + 0.5)
-        dy = qy - (rows + 0.5)
-        # corner k is weighted by the area to the opposite corner, 3 - k, a
-        # product of per-axis factors; all-zero factors become 1 (docstring)
-        ax = np.abs(dx[::-1])
-        ay = np.abs(dy[::-1])
-        ax[:, ~ax.any(axis=0)] = 1.0
-        ay[:, ~ay.any(axis=0)] = 1.0
-        weights = ax * ay
-        weights /= weights.sum(axis=0)
-
+        rows, cols, dx, dy, weights = _corners(qx, qy, h, w)
         hidden = cell[(rows * w + cols).ravel()]
-        hidden += np.stack([dx.ravel(), dy.ravel()], axis=1).astype(np.float32) @ w_offset
-        rgb = mlp_forward(first_act(hidden), rest).reshape(4, len(qx), -1)
-        out[start:start + len(qx)] = np.einsum("kn,knc->nc", weights.astype(np.float32), rgb)
+        hidden += offset_rows(dx, dy)
+        stop = start + len(qx)
+        out[slice(start, stop) if at is None else at[start:stop]] = blend(hidden, weights)
 
-    _map_blocks(block, n, _DECODE_CHUNK, threads)
+    def task(k: int) -> None:
+        if k < len(blocks):
+            phase_block(*blocks[k])
+        else:
+            query_block((k - len(blocks)) * _DECODE_CHUNK)
+
+    _map_blocks(task, len(blocks) + -(-len(q) // _DECODE_CHUNK), 1, threads)
     if not np.all(np.isfinite(out)):
         raise NumericError("non-finite decoded values")
     return out

@@ -20,6 +20,7 @@ from .kernels import (
     LayerNormParams,
     MlpParams,
     PipelineConfig,
+    QueryGrid,
     RegionalParams,
     StebParams,
     TemporalEmbedParams,
@@ -148,21 +149,6 @@ def _available_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _query_grid(out_h: int, out_w: int, s: float) -> np.ndarray:
-    """(out_h * out_w) x 2 float64 (x, y) pixel centres of the output grid,
-    in input-grid units, row-major; InvalidInputError if it cannot be
-    allocated."""
-    try:
-        queries = np.empty((out_h * out_w, 2))
-    except (MemoryError, ValueError):  # ValueError: numpy cannot even size it
-        raise InvalidInputError("scale %r gives a %dx%d output, too large for memory"
-                                % (s, out_h, out_w)) from None
-    grid = queries.reshape(out_h, out_w, 2)
-    grid[..., 0] = (np.arange(out_w) + 0.5) / s
-    grid[..., 1] = ((np.arange(out_h) + 0.5) / s)[:, None]
-    return queries
-
-
 def pipeline_forward(frames: Sequence[IntensityFrame], stream: EventStream,
                      s: float, times: Sequence[float], config: PipelineConfig,
                      params: PipelineParams,
@@ -174,6 +160,12 @@ def pipeline_forward(frames: Sequence[IntensityFrame], stream: EventStream,
     timestamp. Fusion, the a(t) gating and compression are linear, so per
     timestamp they run as one folded 1x1 conv (`timestamp_head`) on
     F_g + F_t, and the C_t-channel fused tensor is never built.
+
+    The decoder is given the output grid as a QueryGrid. At an integer
+    `s` it decodes every pixel with four unclamped corners by sub-pixel
+    phase, from shifted views of its per-cell table; the clamped border
+    band (about s / 2 pixels on each side) and every pixel at a
+    non-integer `s` are decoded per query. Both give the same values.
 
     Stages run one after another. Inside the STEBs and the decoder, fixed
     blocks of attention windows or queries run on `threads` threads (None:
@@ -212,7 +204,12 @@ def pipeline_forward(frames: Sequence[IntensityFrame], stream: EventStream,
         raise InvalidInputError("frame timestamps must be strictly increasing")
     # allocated before any voxel or holistic work, so an output too large
     # for memory fails at once
-    queries = _query_grid(out_h, out_w, s)
+    try:
+        outputs = [np.empty((out_h, out_w, 3), np.float32) for _ in times]
+    except (MemoryError, ValueError):  # ValueError: numpy cannot even size it
+        raise InvalidInputError("scale %r gives a %dx%d output, too large for memory"
+                                % (s, out_h, out_w)) from None
+    queries = QueryGrid(out_h, out_w, s)
 
     report = RunReport()
     row_dev: list[float] = []
@@ -233,8 +230,7 @@ def pipeline_forward(frames: Sequence[IntensityFrame], stream: EventStream,
     span = ts[-1] - ts[0]
     half_window = config.tpr_half_window_us(span)
 
-    outputs = []
-    for t in times:
+    for t, frame in zip(times, outputs):
         center = ts[0] + t * span
         tpr = build_tpr(stream, center, half_window, config.tpr_levels,
                         config.tpr_moments, config.tpr_ratio)
@@ -246,8 +242,7 @@ def pipeline_forward(frames: Sequence[IntensityFrame], stream: EventStream,
         r_ts = fuse_features(f_g_pooled, f_t_l.mean(axis=0), head)
         report.stage_shapes["temporal_embedded"] = tuple(r_ts.shape)
         rgb = spatial_decode(r_ts, queries, s, params.decoder, threads=threads)
-        frame = np.clip(rgb.reshape(out_h, out_w, 3), 0.0, 1.0)
-        outputs.append(frame)
+        np.clip(rgb.reshape(out_h, out_w, 3), 0.0, 1.0, out=frame)
     report.softmax_row_sum_max_dev = max(row_dev) if row_dev else 0.0
     report.stage_shapes["output_frame"] = (out_h, out_w, 3)
     return outputs, report

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evtpr.errors import InvalidInputError
+from evtpr.errors import InvalidInputError, NumericError
 from evtpr.kernels import (
     _DECODE_CHUNK,
     _STEB_CHUNK,
@@ -20,6 +20,7 @@ from evtpr.kernels import (
     ConvParams,
     LayerNormParams,
     MlpParams,
+    QueryGrid,
     StebParams,
     TemporalEmbedParams,
     conv1x1,
@@ -790,7 +791,7 @@ class TestSpatialDecode:
             assert np.allclose(out, ref, rtol=1e-5, atol=1e-5)
 
     def test_blocks_byte_identical_across_thread_counts(self):
-        # 13517 queries: three full chunks and a ragged tail of 1229
+        # three chunks and 1229 queries more, so the last chunk is ragged
         rng = np.random.default_rng(43)
         c, h, w = 6, 9, 11
         n = 3 * _DECODE_CHUNK + 1229
@@ -825,6 +826,89 @@ class TestSpatialDecode:
         tracemalloc.start()
         try:
             spatial_decode(feature, q, 8.0, decoder)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 48e6
+
+
+def grid_queries(out_h, out_w, s):
+    """The pixel centres of an out_h x out_w grid at scale s, row-major."""
+    gy, gx = np.meshgrid(np.arange(out_h), np.arange(out_w), indexing="ij")
+    return np.stack([(gx.ravel() + 0.5) / s, (gy.ravel() + 0.5) / s], axis=1)
+
+
+class TestPhaseDecode:
+    """spatial_decode of a whole QueryGrid at an integer scale, by phase."""
+
+    @staticmethod
+    def decoder(rng, c, hidden=16):
+        return _init_mlp(rng, [c + 2, hidden, hidden, hidden, 3],
+                         ["relu", "relu", "relu", "none"])
+
+    def test_grid_array_matches_pixel_centres(self):
+        grid = QueryGrid(5, 7, 2.5)
+        assert len(grid) == 35
+        assert np.array_equal(np.asarray(grid), grid_queries(5, 7, 2.5))
+        assert np.asarray(grid, np.float32).dtype == np.float32
+
+    # h or w of 1 has no unclamped pixel and 2 one row or column of cells
+    @pytest.mark.parametrize("h,w", [(5, 9), (9, 4), (1, 6), (6, 1), (2, 7),
+                                     (7, 2), (2, 2), (1, 1)])
+    @pytest.mark.parametrize("s", [1, 2, 3, 8])
+    def test_matches_query_array(self, h, w, s):
+        rng = np.random.default_rng(100 + 10 * h + w)
+        c = 5
+        decoder = self.decoder(rng, c)
+        feature = rng.standard_normal((c, h, w)).astype(np.float32)
+        grid = QueryGrid(s * h, s * w, float(s))
+        out = spatial_decode(feature, grid, float(s), decoder)
+        ref = spatial_decode(feature, grid_queries(s * h, s * w, s), float(s), decoder)
+        assert out.shape == ref.shape == (s * h * s * w, 3)
+        assert np.abs(out - ref).max() <= 1e-6
+
+    def test_matches_geometric_oracle(self):
+        rng = np.random.default_rng(44)
+        c, h, w, s = 3, 3, 4, 3
+        decoder = self.decoder(rng, c, hidden=6)
+        feature = rng.standard_normal((c, h, w)).astype(np.float32)
+        out = spatial_decode(feature, QueryGrid(s * h, s * w, float(s)), float(s), decoder)
+        q = grid_queries(s * h, s * w, s)
+        # the oracle knows no clamping: pixels away from the outer half cell
+        inner = np.all((q > 0.5) & (q < (w - 0.5, h - 0.5)), axis=1)
+        ref = naive_spatial_decode(feature, q[inner], decoder)
+        assert np.allclose(out[inner], ref, rtol=1e-5, atol=1e-5)
+
+    def test_blocks_byte_identical_across_thread_counts(self):
+        # 64 phases of 8 x 10 cells each plus the border band
+        rng = np.random.default_rng(45)
+        c, h, w, s = 6, 9, 11, 8
+        decoder = self.decoder(rng, c)
+        feature = rng.standard_normal((c, h, w)).astype(np.float32)
+        grid = QueryGrid(s * h, s * w, float(s))
+        outs = [spatial_decode(feature, grid, float(s), decoder, threads=t)
+                for t in (1, 2, 3)]
+        assert np.array_equal(outs[0], outs[1])
+        assert np.array_equal(outs[0], outs[2])
+
+    def test_non_finite_feature_raises(self):
+        rng = np.random.default_rng(46)
+        c, h, w = 4, 6, 6
+        decoder = self.decoder(rng, c)
+        feature = rng.standard_normal((c, h, w)).astype(np.float32)
+        feature[1, 3, 2] = np.nan  # an interior cell, decoded by phase only
+        with pytest.raises(NumericError):
+            spatial_decode(feature, QueryGrid(4 * h, 4 * w, 4.0), 4.0, decoder)
+
+    def test_peak_memory_bounded_at_large_output(self):
+        # as TestSpatialDecode's test of the same name, through the grid
+        rng = np.random.default_rng(31)
+        decoder = _init_mlp(rng, [66, 64, 64, 64, 3],
+                            ["relu", "relu", "relu", "none"])
+        feature = rng.standard_normal((64, 64, 64)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            spatial_decode(feature, QueryGrid(512, 512, 8.0), 8.0, decoder)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -196,7 +196,9 @@ class TestBrightOutputDigest:
     change to pipeline output values must update these digests in the same
     change and say so. The bytes belong to OpenBLAS's Haswell sgemm kernel,
     which CI pins with OPENBLAS_CORETYPE=Haswell; another kernel may round
-    differently.
+    differently. At s = 2 and 8 the decoder runs mostly by sub-pixel phase,
+    at s = 2.5 only per query; s = 2 and 8 were pinned on the per-query
+    decoder, so they hold the phase path to its bytes.
     """
 
     TIMES = [0.0, 0.5, 1.0]
