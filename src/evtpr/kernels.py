@@ -632,9 +632,10 @@ def timestamp_head(t: float, fuse: ConvParams, params: TemporalEmbedParams) -> C
 # 4 * _DECODE_CHUNK rows of the decoder's hidden width (1 MB at width 64), so
 # peak memory does not grow with the output size, and blocks that small are
 # reused from the heap rather than mapped (and page-faulted) afresh for every
-# layer. 1024 rather than 4096: on the per-query path alone it took 4.6% off
-# an upscale-x8 clip (5 pairs), and phase blocks of 4096 queries were no
-# faster than the per-query path (1224 vs 1238 ms of decode per clip).
+# layer. 1024 rather than 4096: decode per upscale-x8 clip took 1007 ms at
+# 1024 against 1153 ms at 4096 on the phase path, and 1191 against 1286 ms on
+# the per-query path (medians of 10 clips, chunk sizes alternating in one
+# process; 2-core VM, one BLAS thread).
 _DECODE_CHUNK = 1024
 
 
@@ -729,8 +730,9 @@ def spatial_decode(feature: np.ndarray, queries, s: float,
     any non-integer s, and any other queries. Both paths run the same
     float32 operations on each pixel. Where s is a power of two, so that
     offsets are exact, they agree to the bit unless BLAS rounds a block
-    with another kernel: OpenBLAS does so for GEMMs under about 77k
-    multiply-adds, which here means blocks of fewer than about 100 queries.
+    with another kernel: OpenBLAS 0.3.31 (Haswell) does so for GEMMs of at
+    most 76,800 multiply-adds, which at hidden width 64 means blocks of at
+    most 100 queries.
     """
     if not 1 <= s < math.inf:
         raise InvalidInputError("scale must be finite and >= 1")
@@ -763,7 +765,7 @@ def spatial_decode(feature: np.ndarray, queries, s: float,
         return np.einsum("kn,knc->nc", weights.astype(np.float32), rgb)
 
     blocks = []  # phase blocks (p, i, j), run before the per-query blocks
-    at = None  # output row of each per-query query, where not its own index
+    targets = None  # the output row of each row of q, if not the same row
     if phased:
         # Phase p = py * s + px covers the pixels Y = fy[p] + s i, X = fx[p] + s j
         # of cells i < h - 1, j < w - 1. Its first pixel (fy, fx) has corner 0
@@ -785,17 +787,18 @@ def spatial_decode(feature: np.ndarray, queries, s: float,
             _, _, dx, dy, phase_weights = _corners((fx + 0.5) / s, (fy + 0.5) / s, h, w)
             offsets = offset_rows(dx, dy).reshape(4, s * s, -1)
             table = cell.reshape(h, w, -1)
-            rows = max(1, _DECODE_CHUNK // (w - 1))
-            cols = min(w - 1, _DECODE_CHUNK)
-            blocks = [(p, i, j) for p in range(s * s) for i in range(0, h - 1, rows)
-                      for j in range(0, w - 1, cols)]
-        at = np.flatnonzero(~(inner_y[:, None] & inner_x))
-        q = np.stack([(at % out_w + 0.5) / s, (at // out_w + 0.5) / s], axis=1)
+            block_rows = max(1, _DECODE_CHUNK // (w - 1))
+            block_cols = min(w - 1, _DECODE_CHUNK)
+            blocks = [(p, i, j) for p in range(s * s)
+                      for i in range(0, h - 1, block_rows)
+                      for j in range(0, w - 1, block_cols)]
+        targets = np.flatnonzero(~(inner_y[:, None] & inner_x))
+        q = np.stack([(targets % out_w + 0.5) / s, (targets // out_w + 0.5) / s], axis=1)
     else:
         out = np.empty((len(q), decoder.out_dim), np.float32)
 
     def phase_block(p: int, i: int, j: int) -> None:
-        ni, nj = min(rows, h - 1 - i), min(cols, w - 1 - j)
+        ni, nj = min(block_rows, h - 1 - i), min(block_cols, w - 1 - j)
         hidden = np.empty((4, ni, nj, table.shape[2]), np.float32)
         for k, (a, b) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
             np.add(table[i + a:i + a + ni, j + b:j + b + nj], offsets[k, p],
@@ -811,7 +814,8 @@ def spatial_decode(feature: np.ndarray, queries, s: float,
         hidden = cell[(rows * w + cols).ravel()]
         hidden += offset_rows(dx, dy)
         stop = start + len(qx)
-        out[slice(start, stop) if at is None else at[start:stop]] = blend(hidden, weights)
+        out[slice(start, stop) if targets is None else targets[start:stop]] = \
+            blend(hidden, weights)
 
     def task(k: int) -> None:
         if k < len(blocks):
