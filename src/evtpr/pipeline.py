@@ -165,7 +165,8 @@ def pipeline_forward(frames: Sequence[IntensityFrame], stream: EventStream,
     `s` it decodes every pixel with four unclamped corners by sub-pixel
     phase, from shifted views of its per-cell table; the clamped border
     band (about s / 2 pixels on each side) and every pixel at a
-    non-integer `s` are decoded per query. Both give the same values.
+    non-integer `s` are decoded per query, with the same float32
+    operations per pixel.
 
     Stages run one after another. Inside the STEBs and the decoder, fixed
     blocks of attention windows or queries run on `threads` threads (None:
