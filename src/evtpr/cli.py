@@ -176,7 +176,6 @@ def cmd_pipeline(args) -> int:
         "holistic_extractor_calls: %d" % report.holistic_calls,
         "output_frames: %d" % len(outputs),
         "output_size: %dx%d" % (outputs[0].shape[0], outputs[0].shape[1]),
-        "softmax_row_sum_max_dev: %.3e" % report.softmax_row_sum_max_dev,
     ]
     for name, shape in sorted(report.stage_shapes.items()):
         lines.append("shape %s: %s" % (name, "x".join(str(v) for v in shape)))

@@ -5,9 +5,9 @@ area-weighted spatial decoding.
 
 Everything here is pure float32 numpy with explicitly supplied parameters;
 no training, no hidden state, no scipy. STEB arithmetic is float32 end to
-end, layer norm, softmax and GELU included (only the layer-norm mean and the
-softmax row-sum check accumulate in float64); GELU takes the normal tail
-from Abramowitz & Stegun 7.1.26 in place of erf. Both resampling
+end, layer norm, softmax and GELU included (only the layer-norm mean
+accumulates in float64); GELU takes the normal tail from Abramowitz &
+Stegun 7.1.26 in place of erf. Both resampling
 convolutions run as BLAS GEMMs over gathered taps, the x2 upsampling as four
 sub-pixel phases with no x2 tensor. The decoder, given a whole output grid
 (QueryGrid) at an integer scale s, decodes it by sub-pixel phase too: each
@@ -31,7 +31,7 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -147,15 +147,15 @@ class PipelineConfig:
     tpr_levels: int = 3
     tpr_moments: int = 2
     tpr_ratio: float = 3.0
-    tpr_half_window_fraction: float = 0.5  # of the input window span
     encoder_depth: int = 3  # down/up iterations in the holistic extractor
-    mlp_ratio: int = 2  # hidden width multiplier inside STEB MLPs
-    temporal_hidden: int = 32
-    decoder_hidden: int = 64
 
     def __post_init__(self):
-        if self.c_t <= 0:
-            raise InvalidInputError("c_t must be positive")
+        for name in ("c_r", "c_t", "c_ts", "window_size", "heads", "voxel_bins",
+                     "tpr_levels", "tpr_moments"):
+            if getattr(self, name) < 1:
+                raise InvalidInputError("%s must be >= 1" % name)
+        if self.encoder_depth < 0:
+            raise InvalidInputError("encoder_depth must be >= 0")
         if self.n_in < 2:
             raise InvalidInputError("n_in must be >= 2")
         if self.c_r % self.heads:
@@ -164,11 +164,6 @@ class PipelineConfig:
         # the holistic extractor have run
         if not 1 < self.tpr_ratio < math.inf:
             raise InvalidInputError("tpr_ratio must be finite and exceed 1")
-        if not 0 < self.tpr_half_window_fraction < math.inf:
-            raise InvalidInputError("tpr_half_window_fraction must be positive and finite")
-
-    def tpr_half_window_us(self, span_us: float) -> float:
-        return self.tpr_half_window_fraction * span_us
 
     def validate_spatial(self, h: int, w: int) -> None:
         step = self.window_size * 2 ** self.encoder_depth
@@ -356,13 +351,11 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return e
 
 
-def multi_head_self_attention(x: np.ndarray, params: AttentionParams,
-                              row_sum_dev: Optional[list] = None) -> np.ndarray:
+def multi_head_self_attention(x: np.ndarray, params: AttentionParams) -> np.ndarray:
     """softmax(Q K^T / sqrt(d)) V per head, with output projection.
 
-    Works on ... x N x C inputs (leading axes are batched). When
-    `row_sum_dev` is given, the max |row sum - 1| of the softmax is
-    appended to it.
+    Works on ... x N x C inputs (leading axes are batched). Non-finite
+    scores or outputs raise NumericError.
     """
     if x.shape[-1] != params.channels:
         raise InvalidInputError("input channels do not match attention parameters")
@@ -384,10 +377,7 @@ def multi_head_self_attention(x: np.ndarray, params: AttentionParams,
     scores = (q @ np.swapaxes(k, -1, -2)) / np.float32(math.sqrt(d))
     if not np.all(np.isfinite(scores)):
         raise NumericError("non-finite attention scores")
-    attn = _softmax(scores)
-    if row_sum_dev is not None:
-        row_sum_dev.append(float(np.abs(attn.sum(-1, dtype=np.float64) - 1.0).max()))
-    out = attn @ v
+    out = _softmax(scores) @ v
     out = np.moveaxis(out, -3, -2).reshape(lead + (n, h * d))
     out = out @ params.w_o.T + params.b_o
     if not np.all(np.isfinite(out)):
@@ -402,9 +392,7 @@ _STEB_CHUNK = 512
 
 
 def steb_forward(x: np.ndarray, params: StebParams, M: int,
-                 shifted: bool = False,
-                 row_sum_dev: Optional[list] = None,
-                 threads: int = 1) -> np.ndarray:
+                 shifted: bool = False, threads: int = 1) -> np.ndarray:
     """Shift -> partition -> LN+windowed MHSA (residual) -> LN+MLP (residual)
     -> unpartition -> inverse shift. Output shape equals input shape.
 
@@ -422,7 +410,7 @@ def steb_forward(x: np.ndarray, params: StebParams, M: int,
         out = y[start:start + _STEB_CHUNK]
         np.add(t, multi_head_self_attention(
             layer_norm(t, params.norm1.gamma, params.norm1.beta),
-            params.attn, row_sum_dev=row_sum_dev), out=out)
+            params.attn), out=out)
         out += mlp_forward(layer_norm(out, params.norm2.gamma, params.norm2.beta),
                            params.mlp)
 
@@ -519,15 +507,13 @@ class RegionalParams:
 
 
 def regional_extractor_forward(tpr: np.ndarray, params: RegionalParams, M: int,
-                               row_sum_dev: Optional[list] = None,
                                threads: int = 1) -> np.ndarray:
     """TPR L x M_p x H x W -> features L x C_r x H x W via 1x1 lift + STEBs."""
     if tpr.ndim != 4:
         raise InvalidInputError("TPR tensor must be L x M_p x H x W")
     x = conv1x1(tpr, params.lift)
     for i, block in enumerate(params.blocks):
-        x = steb_forward(x, block, M, shifted=bool(i % 2), row_sum_dev=row_sum_dev,
-                         threads=threads)
+        x = steb_forward(x, block, M, shifted=bool(i % 2), threads=threads)
     return x
 
 
@@ -543,7 +529,6 @@ class HolisticParams:
 
 def holistic_extractor_forward(frames: np.ndarray, segments: Sequence[np.ndarray],
                                params: HolisticParams, M: int,
-                               row_sum_dev: Optional[list] = None,
                                threads: int = 1) -> np.ndarray:
     """Multi-scale encoder/decoder over lifted frames and event segments.
 
@@ -568,12 +553,11 @@ def holistic_extractor_forward(frames: np.ndarray, segments: Sequence[np.ndarray
 
     skips = []
     for block, down in zip(params.encoder_blocks, params.downs):
-        x = steb_forward(x, block, M, row_sum_dev=row_sum_dev, threads=threads)
+        x = steb_forward(x, block, M, threads=threads)
         skips.append(x)
         x = downsample_half(x, down)
     for block, up, skip in zip(params.decoder_blocks, params.ups, reversed(skips)):
-        x = steb_forward(x, block, M, shifted=True, row_sum_dev=row_sum_dev,
-                         threads=threads)
+        x = steb_forward(x, block, M, shifted=True, threads=threads)
         x = upsample_double(x, up) + skip
     return x
 

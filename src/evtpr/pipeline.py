@@ -47,7 +47,6 @@ class PipelineParams:
 class RunReport:
     holistic_calls: int = 0
     stage_shapes: dict = field(default_factory=dict)
-    softmax_row_sum_max_dev: float = 0.0
 
 
 def _uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
@@ -75,7 +74,7 @@ def _init_mlp(rng, dims: Sequence[int], activations: Sequence[str]) -> MlpParams
                      activations=tuple(activations))
 
 
-def _init_steb(rng, channels: int, heads: int, mlp_ratio: int) -> StebParams:
+def _init_steb(rng, channels: int, heads: int) -> StebParams:
     def lin():
         return (_uniform(rng, channels, (channels, channels)),
                 _uniform(rng, channels, (channels,)))
@@ -86,7 +85,7 @@ def _init_steb(rng, channels: int, heads: int, mlp_ratio: int) -> StebParams:
     w_o, b_o = lin()
     attn = AttentionParams(heads=heads, w_q=w_q, b_q=b_q, w_k=w_k, b_k=b_k,
                            w_v=w_v, b_v=b_v, w_o=w_o, b_o=b_o)
-    hidden = channels * mlp_ratio
+    hidden = channels * _MLP_RATIO
     mlp = _init_mlp(rng, [channels, hidden, channels], ["gelu", "none"])
     ones = np.ones(channels, np.float32)
     zeros = np.zeros(channels, np.float32)
@@ -94,6 +93,13 @@ def _init_steb(rng, channels: int, heads: int, mlp_ratio: int) -> StebParams:
                       attn=attn,
                       norm2=LayerNormParams(ones.copy(), zeros.copy()),
                       mlp=mlp)
+
+
+# Fixed architecture sizes; no caller varies them.
+_MLP_RATIO = 2  # hidden width multiplier inside STEB MLPs
+_TEMPORAL_HIDDEN = 32  # hidden width of the a(t) MLP
+_DECODER_HIDDEN = 64  # hidden width of the spatial decoder MLP
+_TPR_HALF_WINDOW_FRACTION = 0.5  # TPR half window, as a fraction of the input span
 
 
 def init_pipeline_params(config: PipelineConfig, seed: int) -> PipelineParams:
@@ -105,27 +111,23 @@ def init_pipeline_params(config: PipelineConfig, seed: int) -> PipelineParams:
     c = config.c_r
     regional = RegionalParams(
         lift=_init_conv1x1(rng, config.tpr_moments, c),
-        blocks=tuple(_init_steb(rng, c, config.heads, config.mlp_ratio)
-                     for _ in range(4)),
+        blocks=tuple(_init_steb(rng, c, config.heads) for _ in range(4)),
     )
     depth = config.encoder_depth
     holistic = HolisticParams(
         frame_lift=_init_conv1x1(rng, 3, c),
         event_lift=_init_conv1x1(rng, config.voxel_bins, c),
-        encoder_blocks=tuple(_init_steb(rng, c, config.heads, config.mlp_ratio)
-                             for _ in range(depth)),
+        encoder_blocks=tuple(_init_steb(rng, c, config.heads) for _ in range(depth)),
         downs=tuple(_init_conv(rng, c, c, 2) for _ in range(depth)),
-        decoder_blocks=tuple(_init_steb(rng, c, config.heads, config.mlp_ratio)
-                             for _ in range(depth)),
+        decoder_blocks=tuple(_init_steb(rng, c, config.heads) for _ in range(depth)),
         ups=tuple(_init_conv(rng, c, c, 3) for _ in range(depth)),
     )
     fuse = _init_conv1x1(rng, c, config.c_t)
     temporal = TemporalEmbedParams(
-        mlp=_init_mlp(rng, [1, config.temporal_hidden, config.c_t],
-                      ["relu", "none"]),
+        mlp=_init_mlp(rng, [1, _TEMPORAL_HIDDEN, config.c_t], ["relu", "none"]),
         compress=_init_conv1x1(rng, config.c_t, config.c_ts),
     )
-    d = config.decoder_hidden
+    d = _DECODER_HIDDEN
     decoder = _init_mlp(rng, [config.c_ts + 2, d, d, d, 3],
                         ["relu", "relu", "relu", "none"])
     return PipelineParams(regional=regional, holistic=holistic, fuse=fuse,
@@ -213,7 +215,6 @@ def pipeline_forward(frames: Sequence[IntensityFrame], stream: EventStream,
     queries = QueryGrid(out_h, out_w, s)
 
     report = RunReport()
-    row_dev: list[float] = []
 
     # one voxel-grid segment per consecutive frame pair
     segments = [build_voxel_grid(stream, config.voxel_bins, a, b).data
@@ -222,14 +223,13 @@ def pipeline_forward(frames: Sequence[IntensityFrame], stream: EventStream,
         [np.moveaxis(f.pixels, -1, 0) for f in frames]).astype(np.float32)
 
     f_g = holistic_extractor_forward(frame_tensor, segments, params.holistic,
-                                     config.window_size, row_sum_dev=row_dev,
-                                     threads=threads)
+                                     config.window_size, threads=threads)
     report.holistic_calls += 1
     report.stage_shapes["holistic_features"] = tuple(f_g.shape)
     f_g_pooled = f_g.mean(axis=0)  # collapse the level axis for fusion
 
     span = ts[-1] - ts[0]
-    half_window = config.tpr_half_window_us(span)
+    half_window = _TPR_HALF_WINDOW_FRACTION * span
 
     for t, frame in zip(times, outputs):
         center = ts[0] + t * span
@@ -237,13 +237,12 @@ def pipeline_forward(frames: Sequence[IntensityFrame], stream: EventStream,
                         config.tpr_moments, config.tpr_ratio)
         f_t_l = regional_extractor_forward(tpr.data.astype(np.float32),
                                            params.regional, config.window_size,
-                                           row_sum_dev=row_dev, threads=threads)
+                                           threads=threads)
         report.stage_shapes["regional_features"] = tuple(f_t_l.shape)
         head = timestamp_head(t, params.fuse, params.temporal)
         r_ts = fuse_features(f_g_pooled, f_t_l.mean(axis=0), head)
         report.stage_shapes["temporal_embedded"] = tuple(r_ts.shape)
         rgb = spatial_decode(r_ts, queries, s, params.decoder, threads=threads)
         np.clip(rgb.reshape(out_h, out_w, 3), 0.0, 1.0, out=frame)
-    report.softmax_row_sum_max_dev = max(row_dev) if row_dev else 0.0
     report.stage_shapes["output_frame"] = (out_h, out_w, 3)
     return outputs, report

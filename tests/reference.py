@@ -520,7 +520,7 @@ def reference_pipeline_forward(frames, stream, s, times, config, params):
                                      config.window_size)
     f_g_pooled = f_g.mean(axis=0)
     span = ts[-1] - ts[0]
-    half_window = config.tpr_half_window_us(span)
+    half_window = 0.5 * span
     out_h = int(math.floor(s * h + 1e-9))
     out_w = int(math.floor(s * w + 1e-9))
     gy, gx = np.meshgrid(np.arange(out_h), np.arange(out_w), indexing="ij")

@@ -37,6 +37,7 @@ from evtpr.io_formats import (
     write_tensor,
 )
 from evtpr.kernels import (
+    _softmax,
     ConvParams,
     MlpParams,
     fuse_features,
@@ -53,6 +54,7 @@ from evtpr.pipeline import _init_mlp, _init_steb
 
 from conftest import make_ramp_clip, random_stream
 from test_kernels import (
+    attention_scores,
     make_temporal_params,
     naive_attention,
     naive_conv1x1,
@@ -148,8 +150,10 @@ def test_criterion_06_kernel_oracles():
         c = int(rng.choice([4, 8, 16]))
         params = rand_attention(rng, c, int(rng.choice([1, 2])))
         x = rng.standard_normal((int(rng.integers(1, 10)), c)).astype(np.float32)
-        out = multi_head_self_attention(x, params, row_sum_dev=dev)
+        out = multi_head_self_attention(x, params)
         assert np.allclose(out, naive_attention(x, params), rtol=1e-5, atol=1e-5)
+        attn = _softmax(attention_scores(x, params))
+        dev.append(np.abs(attn.sum(-1, dtype=np.float64) - 1.0).max())
     assert max(dev) <= 1e-6
 
     for _ in range(100):
@@ -211,7 +215,7 @@ def test_criterion_07_geometry_inverses():
             assert np.array_equal(
                 window_unpartition(window_partition(x, 4), 4, 2, h, w), x)
             assert np.array_equal(cyclic_shift(cyclic_shift(x, 2), -2), x)
-    params = _init_steb(rng, 8, 2, 2)
+    params = _init_steb(rng, 8, 2)
     x = rng.standard_normal((3, 8, 8, 16)).astype(np.float32)
     for shifted in (False, True):
         assert steb_forward(x, params, 4, shifted=shifted).shape == x.shape

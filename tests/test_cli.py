@@ -328,9 +328,11 @@ class TestOutputDigest:
     """SHA-256 of the CLI's output bytes for one fixed config.
 
     Any intended change to simulated events or to pipeline output values
-    must update these digests in the same change and say so. The bytes
-    belong to OpenBLAS's Haswell sgemm kernel, which CI pins with
-    OPENBLAS_CORETYPE=Haswell; another kernel may round differently.
+    must update these digests in the same change and say so. The same
+    bytes come out under each of OpenBLAS's Haswell, SkylakeX, Zen,
+    Sandybridge, Nehalem and Prescott sgemm kernels (OPENBLAS_CORETYPE);
+    CI runs this test under all of them but SkylakeX, which needs AVX-512.
+    report.txt holds only what the inputs fix: calls, counts and shapes.
     """
 
     EVENTS = "2fdab55685e25597a6becd630b6bb68976a2646661c6af6315dd02394581f8cf"
@@ -338,7 +340,7 @@ class TestOutputDigest:
         "out_000.ppm": "68c9b706688a3655530c40ee5b773568ccd977ceb4cdff7303dea7cdfe064f30",
         "out_001.ppm": "76ad62b5c0bfbe46eb64916d92064ac6f0a232c12205091b3f97920c0be3e7f3",
         "out_002.ppm": "f03d0ac3eb6764af69dd80990ec6fae40efb68bcddf23bf7b09a5431d0198aed",
-        "report.txt": "085c79173c03e2ae2ad80b6c12f133a3a337487d46fc3bc1b29690398ab4ff5c",
+        "report.txt": "0957c573699c898c6a3cc73682ffdff429120ce4b8757d023c16eace5b0721ee",
     }
 
     def test_simulate_and_pipeline_bytes(self, tmp_path):
@@ -431,6 +433,8 @@ class TestNonFiniteFlags:
         ["pipeline", "{clip}", "{events}", "--scale", "1e6", "--times", "0.5"],
         ["pipeline", "{clip}", "{events}", "--scale", "2", "--times", "0.5",
          "--ratio", "nan"],
+        ["pipeline", "{clip}", "{events}", "--scale", "2", "--times", "0.5",
+         "--heads", "0"],
         ["simulate", "{clip}", "--threshold", "nan"],
         ["simulate", "{clip}", "--threshold", "0.2", "--eps", "nan"],
         ["simulate", "{clip}", "--threshold", "0.2", "--eps", "inf"],
@@ -444,7 +448,7 @@ class TestNonFiniteFlags:
         ["metrics", "{clip}", "{clip}", "--border-crop", "-1"],
     ], ids=["pipeline-scale-nan", "pipeline-scale-inf", "pipeline-scale-1e308",
             "pipeline-scale-1e300", "pipeline-scale-1e8", "pipeline-scale-1e6",
-            "pipeline-ratio-nan",
+            "pipeline-ratio-nan", "pipeline-heads-0",
             "simulate-threshold-nan", "simulate-eps-nan",
             "simulate-eps-inf", "reconstruct-threshold-nan",
             "reconstruct-threshold-inf", "reconstruct-eps-nan",

@@ -124,14 +124,6 @@ class TestPipeline:
                                 init_pipeline_params(config, 1))
         assert not np.array_equal(a[0], b[0])
 
-    def test_softmax_rows_checked(self):
-        frames = toy_clip()
-        stream = simulate_events(frames, C=0.2)
-        config = toy_config()
-        params = init_pipeline_params(config, 0)
-        _, report = pipeline_forward(frames, stream, 1.0, [0.5], config, params)
-        assert report.softmax_row_sum_max_dev <= 1e-6
-
     def test_invalid_times_and_scale(self):
         frames = toy_clip()
         stream = simulate_events(frames, C=0.2)
@@ -161,9 +153,9 @@ class TestPipeline:
 
     @pytest.mark.parametrize("field,value", [
         ("tpr_ratio", float("nan")), ("tpr_ratio", float("inf")), ("tpr_ratio", 1.0),
-        ("tpr_half_window_fraction", float("nan")),
-        ("tpr_half_window_fraction", float("inf")),
-        ("tpr_half_window_fraction", 0.0), ("tpr_half_window_fraction", -0.5),
+        ("c_r", 0), ("c_r", -8), ("c_ts", 0), ("window_size", 0), ("window_size", -4),
+        ("heads", 0), ("heads", -2), ("voxel_bins", 0), ("tpr_levels", 0),
+        ("tpr_moments", 0), ("encoder_depth", -1),
     ])
     def test_config_rejects_bad_tpr_settings(self, field, value):
         with pytest.raises(InvalidInputError, match=field):
