@@ -57,8 +57,8 @@ def rand_attention(rng, c, heads):
 
 
 def attention_scores(x, params):
-    """The float32 Q K^T / sqrt(d) of multi_head_self_attention on N x C x:
-    heads x N x N."""
+    """multi_head_self_attention's float32 scores Q K^T / sqrt(d) for an
+    N x C input, as heads x N x N."""
     h, d = params.heads, params.head_dim
 
     def split(w, b):
