@@ -153,7 +153,7 @@ def test_criterion_06_kernel_oracles():
         out = multi_head_self_attention(x, params)
         assert np.allclose(out, naive_attention(x, params), rtol=1e-5, atol=1e-5)
         attn = _softmax(attention_scores(x, params))
-        dev.append(np.abs(attn.sum(-1, dtype=np.float64) - 1.0).max())
+        dev.append(np.abs(attn.sum(-2, dtype=np.float64) - 1.0).max())
     assert max(dev) <= 1e-6
 
     for _ in range(100):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -57,15 +58,15 @@ def rand_attention(rng, c, heads):
 
 
 def attention_scores(x, params):
-    """multi_head_self_attention's float32 scores Q K^T / sqrt(d) for an
-    N x C input, as heads x N x N."""
+    """multi_head_self_attention's float32 scores for an N x C input, in its
+    keys-major layout: K Q^T / sqrt(d) as heads x key x query."""
     h, d = params.heads, params.head_dim
 
     def split(w, b):
         return np.swapaxes((x @ w.T + b).reshape(len(x), h, d), 0, 1)
 
     q, k = split(params.w_q, params.b_q), split(params.w_k, params.b_k)
-    return (q @ np.swapaxes(k, -1, -2)) / np.float32(math.sqrt(d))
+    return (k @ np.swapaxes(q, -1, -2)) / np.float32(math.sqrt(d))
 
 
 class TestWindowGeometry:
@@ -209,16 +210,49 @@ class TestAttention:
         assert np.allclose(out, expected, atol=1e-5)
 
     def test_softmax_rows_sum_to_one(self):
-        # each row is divided by its own float32 sum, whose largest term is
-        # exp(0) = 1, so float32 rounding bounds |row sum - 1| by n * 2^-24
+        # keys-major: each query's column of n keys is divided by its own
+        # float32 sum, whose largest term is exp(0) = 1, so float32 rounding
+        # bounds |sum - 1| by n * 2^-24
         rng = np.random.default_rng(4)
         for n in (1, 4, 16, 64):
             for scale in 10.0 ** np.arange(-3, 7):
-                scores = (scale * rng.standard_normal((32, n))).astype(np.float32)
+                scores = (scale * rng.standard_normal((n, 32))).astype(np.float32)
                 attn = _softmax(scores)
                 assert attn.dtype == np.float32
-                dev = np.abs(attn.sum(-1, dtype=np.float64) - 1.0).max()
+                dev = np.abs(attn.sum(-2, dtype=np.float64) - 1.0).max()
                 assert dev <= n * 2.0 ** -24, (n, scale, dev)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 16, 25])
+    def test_softmax_keys_max_is_exact(self, n):
+        # the tree max over halves of the keys axis, odd slices included,
+        # must be bit-identical to .max(axis=-2): the same softmax built on
+        # .max gives the same bytes; ties and signed zeros included
+        rng = np.random.default_rng(n)
+        scores = (rng.integers(-3, 4, (4, 2, n, 7)) * 0.5).astype(np.float32)
+        scores[0] = rng.standard_normal((2, n, 7)).astype(np.float32) * 30.0
+        scores[1, 0] = -0.0
+        expected = scores - scores.max(axis=-2, keepdims=True)
+        np.exp(expected, out=expected)
+        expected /= np.ones((1, n), np.float32) @ expected
+        assert np.array_equal(_softmax(scores.copy()), expected)
+
+    def test_replace_rebuilds_fused_projection(self):
+        rng = np.random.default_rng(9)
+        params = rand_attention(rng, 8, 2)
+        x = rng.standard_normal((3, 5, 8)).astype(np.float32)
+        w_q = rng.standard_normal((8, 8)).astype(np.float32)
+        replaced = dataclasses.replace(params, w_q=w_q)
+        fresh = AttentionParams(heads=2, w_q=w_q, b_q=params.b_q, w_k=params.w_k,
+                                b_k=params.b_k, w_v=params.w_v, b_v=params.b_v,
+                                w_o=params.w_o, b_o=params.b_o)
+        out = multi_head_self_attention(x, replaced)
+        assert not np.allclose(out, multi_head_self_attention(x, params), atol=1e-3)
+        assert np.array_equal(out, multi_head_self_attention(x, fresh))
+
+    def test_mis_sized_bias_rejected(self):
+        params = rand_attention(np.random.default_rng(10), 8, 2)
+        with pytest.raises(InvalidInputError, match="biases"):
+            dataclasses.replace(params, b_k=np.zeros(4, np.float32))
 
     def test_matches_naive_reference(self):
         rng = np.random.default_rng(5)

@@ -1,3 +1,4 @@
+import ctypes
 import hashlib
 import io
 import threading
@@ -179,6 +180,29 @@ class TestPipeline:
             pipeline_forward(frames, stream, 1.0, [0.5], config, params)
 
 
+def openblas_core():
+    """The name of the sgemm kernel numpy's OpenBLAS runs ("Haswell",
+    "SkylakeX", ...), or None if numpy's BLAS is not OpenBLAS.
+
+    OpenBLAS picks its kernel for the CPU at run time, unless
+    OPENBLAS_CORETYPE names one. numpy's linear-algebra extension links
+    the BLAS, and a symbol looked up through its handle is searched for in
+    the libraries it links too.
+    """
+    from numpy.linalg import _umath_linalg
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    # scipy-openblas (numpy >= 2), the 64-bit-int build of older wheels,
+    # then plain OpenBLAS
+    for name in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                 "openblas_get_corename"):
+        get_corename = getattr(lib, name, None)
+        if get_corename is not None:
+            get_corename.argtypes = []
+            get_corename.restype = ctypes.c_char_p
+            return get_corename().decode()
+    return None
+
+
 class TestBrightOutputDigest:
     """SHA-256 of the 8-bit frames, as the CLI writes them, on the
     `bright_pipeline` fixture, whose output spans [0, 1].
@@ -186,23 +210,36 @@ class TestBrightOutputDigest:
     A wrong pixel or a swapped axis moves many 8-bit levels here, where the
     near-black seeded frames of TestOutputDigest show few. Any intended
     change to pipeline output values must update these digests in the same
-    change and say so. The bytes belong to OpenBLAS's Haswell sgemm kernel,
-    which CI pins with OPENBLAS_CORETYPE=Haswell; another kernel may round
-    differently. At s = 2 and 8 the decoder runs mostly by sub-pixel phase,
-    at s = 2.5 only per query; s = 2 and 8 were pinned on the per-query
-    decoder, so they hold the phase path to its bytes.
+    change and say so. The bytes belong to the OpenBLAS sgemm kernel that
+    computed them, since kernels round differently, so they are pinned per
+    kernel: Haswell, which CI pins with OPENBLAS_CORETYPE=Haswell, and
+    SkylakeX, the default on AVX-512 hosts. Under any other kernel the test
+    fails and names it; it never skips. Each kernel's digests come from its
+    own run, never copied from another. At s = 2 and 8 the decoder runs
+    mostly by sub-pixel phase, at s = 2.5 only per query.
     """
 
     TIMES = [0.0, 0.5, 1.0]
     DIGESTS = {
-        1.0: "69db125cd0bfe25eedca2793c72c7411beaa67a89506f5e1ff9e06f78e59a7aa",
-        2.0: "f229c6ed5ef1ba186a83cc1a38659e549d821ea73c7b1789d2039df600d755f7",
-        2.5: "eb680dcca642836678865e32d7ab0d8bda4e89c80f33751fe5e0bf92a95c58d5",
-        8.0: "19f8b653ff1b0ee42a2c5f7e1bb1b6ae76b5be11ffc63497aad2963cd2c43f0a",
+        "Haswell": {
+            1.0: "69db125cd0bfe25eedca2793c72c7411beaa67a89506f5e1ff9e06f78e59a7aa",
+            2.0: "8e35faec446b3572bc70b49606f731226ee4b4e4757fb335c4cc680772821175",
+            2.5: "eb680dcca642836678865e32d7ab0d8bda4e89c80f33751fe5e0bf92a95c58d5",
+            8.0: "b559df2eca6983ea2368128d0440dc53be83a756b8424af6ce3667b6b398c2c1",
+        },
+        "SkylakeX": {
+            1.0: "69db125cd0bfe25eedca2793c72c7411beaa67a89506f5e1ff9e06f78e59a7aa",
+            2.0: "8befb62072648f3a67717850b1a4c9e873a84474be46d446a6dd5c46685951cc",
+            2.5: "739cde1a51939e3a96e5521a808f5c2f33f5ea04317652f63c21dba6280195b6",
+            8.0: "7ba2b846acf129f0ccf53efcebb2c2544a9e6e1d1cb75e3aefe6e96d0a75b73d",
+        },
     }
 
-    @pytest.mark.parametrize("s", sorted(DIGESTS))
+    @pytest.mark.parametrize("s", [1.0, 2.0, 2.5, 8.0])
     def test_frames_bytes(self, bright_pipeline, s):
+        core = openblas_core()
+        assert core in self.DIGESTS, \
+            "no bright digests pinned for OpenBLAS sgemm kernel %r" % core
         frames, stream, config, params = bright_pipeline
         outs, _ = pipeline_forward(frames, stream, s, self.TIMES, config, params)
         # the fixture's frames really span [0, 1]
@@ -213,4 +250,5 @@ class TestBrightOutputDigest:
             buf = io.BytesIO()
             write_frame(out, buf)
             sha.update(buf.getvalue())
-        assert sha.hexdigest() == self.DIGESTS[s]
+        assert sha.hexdigest() == self.DIGESTS[core][s], \
+            "bright digest at s = %g under OpenBLAS sgemm kernel %s" % (s, core)

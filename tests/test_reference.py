@@ -6,6 +6,7 @@ import pytest
 from evtpr import PipelineConfig, init_pipeline_params, pipeline_forward, simulate_events
 from evtpr.kernels import (
     holistic_extractor_forward,
+    multi_head_self_attention,
     regional_extractor_forward,
     spatial_decode,
 )
@@ -13,6 +14,7 @@ from evtpr.pipeline import _init_mlp
 from evtpr.representations import build_voxel_grid
 
 import reference
+from test_kernels import rand_attention
 from test_pipeline import toy_clip, toy_config
 
 TOL = 1e-5
@@ -46,6 +48,20 @@ def check_pipeline(frames, stream, s, times, config, params):
     for out, ref in zip(outs, refs):
         assert out.shape == ref.shape
         assert np.abs(out - ref).max() <= TOL
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 25])
+def test_attention_matches_reference(n, heads):
+    # n = 3, 9 and 25 leave an odd slice at some level of the keys-axis
+    # tree max; the fused projection must agree with separate Q, K, V
+    rng = np.random.default_rng(100 * n + heads)
+    params = rand_attention(rng, 8, heads)
+    x = rng.standard_normal((4, n, 8)).astype(np.float32)
+    out = multi_head_self_attention(x, params)
+    ref = reference.multi_head_self_attention(x, params)
+    assert out.dtype == np.float32
+    assert np.allclose(out, ref, rtol=1e-6, atol=1e-6)
 
 
 def test_regional_extractor_matches_reference():
