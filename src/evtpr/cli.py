@@ -159,12 +159,8 @@ def cmd_pipeline(args) -> int:
     times = [float(_parse_rational(tok)) for tok in args.times.split(",") if tok]
     if not times:
         raise UsageError("--times must list at least one timestamp")
-    config = PipelineConfig(
-        n_in=len(frames), c_r=args.cr, c_t=args.ct, c_ts=args.cts,
-        window_size=args.window, heads=args.heads, voxel_bins=args.bins,
-        tpr_levels=args.levels, tpr_moments=args.moments,
-        tpr_ratio=args.ratio, encoder_depth=args.encoder_depth,
-    )
+    config = PipelineConfig(n_in=len(frames), c_r=args.cr, c_t=args.ct, c_ts=args.cts,
+                            heads=args.heads, encoder_depth=args.encoder_depth)
     params = init_pipeline_params(config, args.seed)
     outputs, report = pipeline_forward(frames, stream, args.scale, times,
                                        config, params, threads=args.threads)
@@ -315,12 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cr", type=int, default=8)
     p.add_argument("--ct", type=int, default=16)
     p.add_argument("--cts", type=int, default=8)
-    p.add_argument("--window", type=int, default=4)
     p.add_argument("--heads", type=int, default=2)
-    p.add_argument("--bins", type=int, default=4)
-    p.add_argument("--levels", type=int, default=3)
-    p.add_argument("--moments", type=int, default=2)
-    p.add_argument("--ratio", type=float, default=3.0)
     p.add_argument("--encoder-depth", type=int, default=2)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_pipeline)

@@ -34,7 +34,7 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -160,21 +160,23 @@ class TemporalEmbedParams:
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """Pipeline sizes. The fields are the sizes callers set; the ClassVars
+    are fixed for the model, as in the paper, and read through any instance
+    (build_tpr and build_voxel_grid still take any L, M_p, r and bins)."""
     n_in: int
     c_r: int = 16  # feature channels inside both extractors
     c_t: int = 640  # fused/temporal channel dimension
     c_ts: int = 64  # compressed channels entering the spatial decoder
-    window_size: int = 4  # attention window M
     heads: int = 2
-    voxel_bins: int = 4  # M of the holistic voxel grid segments
-    tpr_levels: int = 3
-    tpr_moments: int = 2
-    tpr_ratio: float = 3.0
     encoder_depth: int = 3  # down/up iterations in the holistic extractor
+    window_size: ClassVar[int] = 4  # attention window M
+    voxel_bins: ClassVar[int] = 4  # M of the holistic voxel grid segments
+    tpr_levels: ClassVar[int] = 3  # L
+    tpr_moments: ClassVar[int] = 2  # M_p
+    tpr_ratio: ClassVar[float] = 3.0  # r
 
     def __post_init__(self):
-        for name in ("c_r", "c_t", "c_ts", "window_size", "heads", "voxel_bins",
-                     "tpr_levels", "tpr_moments"):
+        for name in ("c_r", "c_t", "c_ts", "heads"):
             if getattr(self, name) < 1:
                 raise InvalidInputError("%s must be >= 1" % name)
         if self.encoder_depth < 0:
@@ -183,10 +185,6 @@ class PipelineConfig:
             raise InvalidInputError("n_in must be >= 2")
         if self.c_r % self.heads:
             raise InvalidInputError("heads must divide c_r")
-        # build_tpr checks these too, but only after the voxel segments and
-        # the holistic extractor have run
-        if not 1 < self.tpr_ratio < math.inf:
-            raise InvalidInputError("tpr_ratio must be finite and exceed 1")
 
     def validate_spatial(self, h: int, w: int) -> None:
         step = self.window_size * 2 ** self.encoder_depth
@@ -207,8 +205,10 @@ def window_partition(x: np.ndarray, M: int) -> np.ndarray:
     if h % M or w % M:
         raise InvalidInputError("window size must divide H and W")
     x = x.reshape(l, c, h // M, M, w // M, M)
-    x = x.transpose(0, 2, 4, 3, 5, 1)  # l, h/M, w/M, M, M, c
-    return np.ascontiguousarray(x.reshape(l * (h // M) * (w // M), M * M, c))
+    # a copy even where the reshape below could be a view of the input (C = 1
+    # and M = 1 or M = W), so steb_forward may add into it in place
+    x = x.transpose(0, 2, 4, 3, 5, 1).copy()  # l, h/M, w/M, M, M, c
+    return x.reshape(l * (h // M) * (w // M), M * M, c)
 
 
 def window_unpartition(windows: np.ndarray, M: int, l: int, h: int, w: int) -> np.ndarray:
@@ -422,25 +422,22 @@ def steb_forward(x: np.ndarray, params: StebParams, M: int,
     -> unpartition -> inverse shift. Output shape equals input shape.
 
     Windows are independent, so the four middle steps run over blocks of
-    _STEB_CHUNK windows on `threads` threads, each block writing its rows
-    of one preallocated token tensor."""
+    _STEB_CHUNK windows on `threads` threads, each block adding both
+    residuals in place into its rows of the partitioned tokens."""
     l, c, h, w = x.shape
     if shifted:
         x = cyclic_shift(x, -(M // 2))
     tokens = window_partition(x, M)
-    y = np.empty(tokens.shape, np.result_type(tokens.dtype, np.float32))
 
     def block(start: int) -> None:
         t = tokens[start:start + _STEB_CHUNK]
-        out = y[start:start + _STEB_CHUNK]
-        np.add(t, multi_head_self_attention(
-            layer_norm(t, params.norm1.gamma, params.norm1.beta),
-            params.attn), out=out)
-        out += mlp_forward(layer_norm(out, params.norm2.gamma, params.norm2.beta),
-                           params.mlp)
+        t += multi_head_self_attention(
+            layer_norm(t, params.norm1.gamma, params.norm1.beta), params.attn)
+        t += mlp_forward(layer_norm(t, params.norm2.gamma, params.norm2.beta),
+                         params.mlp)
 
     _map_blocks(block, len(tokens), _STEB_CHUNK, threads)
-    out = window_unpartition(y, M, l, h, w)
+    out = window_unpartition(tokens, M, l, h, w)
     if shifted:
         out = cyclic_shift(out, M // 2)
     return out
@@ -711,14 +708,17 @@ def spatial_decode(feature: np.ndarray, queries, s: float,
     combined with weights proportional to the rectangle area spanned by the
     query and the diagonally opposite cell center (weights sum to 1).
 
-    Near the border a corner index is clamped to the grid, so within the
-    outer half cell both taps of an axis may be the same border cell. Each
-    area is a product of one |offset| factor per axis; where an axis's four
-    factors are all 0 (the query is on that clamped cell's centre line),
-    they are set to 1, their limit from either side. No other rule applies,
-    so the decoded field is continuous in (x, y), and a query on a cell
-    centre (every output pixel at s = 1) decodes that cell alone at offset
-    (0, 0).
+    Near the border a corner index is clamped to the grid, and the two kinds
+    of edge differ. Within the outer half cell at the bottom and right
+    edges, both taps of the axis are the last cell. Within it at the top and
+    left edges, the low tap clamps from -1 to cell 0 and the high tap stays
+    cell 1, so the axis blends cells 0 and 1 at offsets q - 0.5 and
+    q - 1.5: at q = 0 with weights 0.75 and 0.25. Each area is a product of
+    one |offset| factor per axis; where an axis's four factors are all 0
+    (both taps are one cell and the query is on its centre line), they are
+    set to 1, their limit from either side. No other rule applies, so the
+    decoded field is continuous in (x, y), and a query on a cell centre
+    (every output pixel at s = 1) decodes that cell alone at offset (0, 0).
 
     The decoder's first layer is linear in feature || offset, so it splits
     into a per-cell part, W1[:, :C] f + b1, computed once for each of the

@@ -15,6 +15,7 @@ from evtpr.errors import InvalidInputError, NumericError
 from evtpr.kernels import (
     _DECODE_CHUNK,
     _STEB_CHUNK,
+    _corners,
     _gelu,
     _map_blocks,
     _softmax,
@@ -99,6 +100,12 @@ class TestWindowGeometry:
     def test_non_divisible_rejected(self):
         with pytest.raises(InvalidInputError):
             window_partition(np.zeros((1, 1, 6, 8), np.float32), 4)
+
+    @pytest.mark.parametrize("M,h,w", [(1, 4, 4), (4, 8, 4)])
+    def test_never_a_view_of_its_input(self, M, h, w):
+        # one channel and M = 1 or M = W: here a reshape alone is a view
+        x = np.zeros((2, 1, h, w), np.float32)
+        assert not np.shares_memory(window_partition(x, M), x)
 
 
 class TestCyclicShift:
@@ -316,6 +323,16 @@ class TestSteb:
             params.mlp)
         ref = cyclic_shift(window_unpartition(tokens, 4, 1, 4, 4), 2)
         assert np.array_equal(out, ref)  # bit-identical
+
+    def test_input_unchanged(self):
+        # C = 1, M = 1, where the partitioned tokens could alias the input
+        rng = np.random.default_rng(9)
+        params = _init_steb(rng, 1, 1)
+        x = rng.standard_normal((2, 1, 4, 4)).astype(np.float32)
+        before = x.copy()
+        out = steb_forward(x, params, 1)
+        assert not np.array_equal(out, x)
+        assert np.array_equal(x, before)
 
     @pytest.mark.parametrize("shifted", [False, True])
     def test_blocks_byte_identical_across_thread_counts(self, shifted):
@@ -751,6 +768,20 @@ def naive_spatial_decode(feature, queries, decoder):
 
 
 class TestSpatialDecode:
+    def test_corners_at_the_border(self):
+        # 4 x 4 grid. Top-left corner (0, 0): the low tap clamps from -1 to
+        # cell 0, the high tap stays cell 1, so each axis weights cells 0
+        # and 1 by 0.75 and 0.25 at offsets -0.5 and -1.5. Bottom-right
+        # corner (4, 4): both taps of each axis are cell 3, at offset 0.5.
+        rows, cols, dx, dy, weights = _corners(np.array([0.0, 4.0]),
+                                               np.array([0.0, 4.0]), 4, 4)
+        assert np.array_equal(rows, [[0, 3], [0, 3], [1, 3], [1, 3]])
+        assert np.array_equal(cols, [[0, 3], [1, 3], [0, 3], [1, 3]])
+        assert np.array_equal(dx, [[-0.5, 0.5], [-1.5, 0.5], [-0.5, 0.5], [-1.5, 0.5]])
+        assert np.array_equal(dy, [[-0.5, 0.5], [-0.5, 0.5], [-1.5, 0.5], [-1.5, 0.5]])
+        assert np.array_equal(weights, [[0.5625, 0.25], [0.1875, 0.25],
+                                        [0.1875, 0.25], [0.0625, 0.25]])
+
     def test_constant_field_invariance(self):
         rng = np.random.default_rng(26)
         c = 5

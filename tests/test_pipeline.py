@@ -45,13 +45,24 @@ class TestPipeline:
         assert report.stage_shapes["output_frame"] == (16, 16, 3)
 
     @pytest.mark.parametrize("n_times", [1, 3, 7])
-    def test_holistic_called_once(self, n_times):
+    def test_holistic_called_once(self, n_times, monkeypatch):
+        import evtpr.pipeline
+
+        calls = []
+        forward = evtpr.pipeline.holistic_extractor_forward
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(evtpr.pipeline, "holistic_extractor_forward", counted)
         frames = toy_clip()
         stream = simulate_events(frames, C=0.2)
         config = toy_config()
         params = init_pipeline_params(config, 0)
         times = [i / max(n_times - 1, 1) for i in range(n_times)]
         outs, report = pipeline_forward(frames, stream, 1.0, times, config, params)
+        assert len(calls) == 1
         assert report.holistic_calls == 1
         assert len(outs) == n_times
 
@@ -153,13 +164,22 @@ class TestPipeline:
             pipeline_forward(frames, stream, 1e6, [0.5], config, params)
 
     @pytest.mark.parametrize("field,value", [
-        ("tpr_ratio", float("nan")), ("tpr_ratio", float("inf")), ("tpr_ratio", 1.0),
-        ("c_r", 0), ("c_r", -8), ("c_ts", 0), ("window_size", 0), ("window_size", -4),
-        ("heads", 0), ("heads", -2), ("voxel_bins", 0), ("tpr_levels", 0),
-        ("tpr_moments", 0), ("encoder_depth", -1),
+        ("c_r", 0), ("c_r", -8), ("c_ts", 0), ("heads", 0), ("heads", -2),
+        ("encoder_depth", -1),
     ])
-    def test_config_rejects_bad_tpr_settings(self, field, value):
+    def test_config_rejects_bad_sizes(self, field, value):
         with pytest.raises(InvalidInputError, match=field):
+            PipelineConfig(n_in=4, **{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("window_size", 4), ("voxel_bins", 4), ("tpr_levels", 3), ("tpr_moments", 2),
+        ("tpr_ratio", 3.0),
+    ])
+    def test_fixed_sizes_are_constants(self, field, value):
+        config = toy_config()
+        assert getattr(config, field) == value
+        assert type(getattr(config, field)) is type(value)
+        with pytest.raises(TypeError):
             PipelineConfig(n_in=4, **{field: value})
 
     def test_resolution_must_fit_window_and_depth(self):
