@@ -67,15 +67,19 @@ def _thread_count(text: str) -> int:
     return value
 
 
-def _load_clip(frames_dir: str, timestamps: str | None) -> list[IntensityFrame]:
-    d = Path(frames_dir)
+def _frame_paths(directory: str) -> list[Path]:
+    """The sorted .pgm/.ppm files of a directory; a missing one is a usage error."""
+    d = Path(directory)
     if not d.is_dir():
-        raise UsageError("frames directory %s does not exist" % frames_dir)
-    paths = sorted(p for p in d.iterdir()
-                   if p.suffix.lower() in (".pgm", ".ppm"))
+        raise UsageError("frames directory %s does not exist" % directory)
+    return sorted(p for p in d.iterdir() if p.suffix.lower() in (".pgm", ".ppm"))
+
+
+def _load_clip(frames_dir: str, timestamps: str | None) -> list[IntensityFrame]:
+    paths = _frame_paths(frames_dir)
     if not paths:
         raise UsageError("no .pgm/.ppm frames in %s" % frames_dir)
-    ts_path = Path(timestamps) if timestamps else d / "timestamps.txt"
+    ts_path = Path(timestamps) if timestamps else Path(frames_dir) / "timestamps.txt"
     if not ts_path.is_file():
         raise UsageError("missing timestamps file %s" % ts_path)
     lines = [ln.strip() for ln in ts_path.read_text().splitlines() if ln.strip()]
@@ -180,17 +184,9 @@ def cmd_pipeline(args) -> int:
     return EXIT_OK
 
 
-def _load_dir_frames(path: str) -> list[np.ndarray]:
-    d = Path(path)
-    if not d.is_dir():
-        raise UsageError("directory %s does not exist" % path)
-    return [io_formats.read_frame(str(p)) for p in sorted(d.iterdir())
-            if p.suffix.lower() in (".pgm", ".ppm")]
-
-
 def cmd_metrics(args) -> int:
-    preds = _load_dir_frames(args.pred_dir)
-    gts = _load_dir_frames(args.gt_dir)
+    preds = [io_formats.read_frame(str(p)) for p in _frame_paths(args.pred_dir)]
+    gts = [io_formats.read_frame(str(p)) for p in _frame_paths(args.gt_dir)]
     if len(preds) != len(gts) or not preds:
         raise UsageError("prediction and ground-truth frame counts differ")
     rows = ["index,time,psnr,ssim"]

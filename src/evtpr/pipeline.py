@@ -166,9 +166,9 @@ def pipeline_forward(frames: Sequence[IntensityFrame], stream: EventStream,
     The decoder is given the output grid as a QueryGrid. At an integer
     `s` it decodes every pixel with four unclamped corners by sub-pixel
     phase, from shifted views of its per-cell table; the clamped border
-    band (about s / 2 pixels on each side) and every pixel at a
-    non-integer `s` are decoded per query, with the same float32
-    operations per pixel.
+    band (s//2 pixels at the top and left, s - s//2 at the bottom and
+    right) and every pixel at a non-integer `s` are decoded per query,
+    with the same float32 operations per pixel.
 
     Stages run one after another. Inside the STEBs and the decoder, fixed
     blocks of attention windows or queries run on `threads` threads (None:

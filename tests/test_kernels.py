@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -387,7 +388,7 @@ class TestMapBlocks:
             with lock:
                 seen.append(start)
 
-        _map_blocks(fn, n, 3, threads)
+        _map_blocks(fn, range(0, n, 3), threads)
         assert sorted(seen) == list(range(0, n, 3))
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
@@ -400,13 +401,37 @@ class TestMapBlocks:
                 raise raised
 
         with pytest.raises(ValueError) as info:
-            _map_blocks(fn, 10, 1, threads)
+            _map_blocks(fn, range(10), threads)
         assert info.value is raised
         assert threading.active_count() == before
 
     def test_threads_below_one_rejected(self):
         with pytest.raises(InvalidInputError):
-            _map_blocks(lambda start: None, 10, 1, 0)
+            _map_blocks(lambda start: None, range(10), 0)
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_raise_stops_new_items(self, threads):
+        # one thread runs items in order, so exactly items 0-3 start; with
+        # more, only the items already pulled when item 0 raised may run
+        fail_at, n = (3, 10) if threads == 1 else (0, 40)
+        calls = []
+        lock = threading.Lock()
+        before = threading.active_count()
+
+        def fn(item):
+            with lock:
+                calls.append(item)
+            if item == fail_at:
+                raise ValueError("item %d" % item)
+            time.sleep(0.002)
+
+        with pytest.raises(ValueError):
+            _map_blocks(fn, range(n), threads)
+        if threads == 1:
+            assert calls == [0, 1, 2, 3]
+        else:
+            assert len(calls) < 20
+        assert threading.active_count() == before
 
 
 class TestResampling:
