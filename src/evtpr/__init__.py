@@ -1,15 +1,6 @@
 """Event-camera representations, dataset windowing arithmetic, and forward
 decoding kernels for arbitrary-scale video frame interpolation and upscaling."""
 
-import os
-
-# The STEBs and the decoder run blocks on their own threads; a multi-threaded
-# BLAS under each would oversubscribe the cores. One BLAS thread unless the
-# user chose otherwise; this only takes effect before numpy is first imported.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-del _var
-
 from .errors import FormatError, InvalidInputError, NumericError
 from .events import (
     Event,

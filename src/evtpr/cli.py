@@ -244,9 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="threads for the pipeline's attention and decoder "
                              "blocks (default: EVTPR_THREADS, else the usable "
                              "cores); blocks are fixed, so outputs are "
-                             "byte-identical for any value; BLAS runs one "
-                             "thread unless OPENBLAS_NUM_THREADS, "
-                             "OMP_NUM_THREADS or MKL_NUM_THREADS is set")
+                             "byte-identical for any value; OpenBLAS runs "
+                             "one thread inside the pipeline (process-wide; "
+                             "not under another BLAS), restored after")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate events from a frame clip")

@@ -93,8 +93,8 @@ def sample_scale(rng: np.random.Generator) -> float:
 def plan_crop(frame_h: int, frame_w: int, s: float,
               rng: np.random.Generator) -> CropPlan:
     """Random HR crop of side floor(floor(512/s) * s) and its LR counterpart."""
-    if s < 1:
-        raise InvalidInputError("scale must be >= 1")
+    if not 1 <= s < math.inf:
+        raise InvalidInputError("scale must be finite and >= 1")
     lr_side = int(math.floor(CROP_SIZE / s))
     hr_side = int(math.floor(lr_side * s))
     if hr_side > frame_h or hr_side > frame_w:
@@ -185,8 +185,8 @@ def _resample_axis(arr: np.ndarray, out_len: int, s: float) -> np.ndarray:
 
 def downsample_bicubic(frame: IntensityFrame, s: float) -> IntensityFrame:
     """Separable bicubic resize to floor(H/s) x floor(W/s), values clamped to [0,1]."""
-    if s < 1:
-        raise InvalidInputError("scale must be >= 1")
+    if not 1 <= s < math.inf:
+        raise InvalidInputError("scale must be finite and >= 1")
     h, w = frame.height, frame.width
     out_h = int(math.floor(h / s))
     out_w = int(math.floor(w / s))

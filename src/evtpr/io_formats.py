@@ -184,13 +184,15 @@ def read_tensor(src: PathOrStream) -> np.ndarray:
 
 
 def write_frame(pixels: np.ndarray, dest: PathOrStream) -> None:
-    """Binary PGM for HxW input, binary PPM for HxWx3; values in [0,1]."""
+    """Binary PGM (HxW) or PPM (HxWx3) of finite values, clipped to [0, 1]."""
     if pixels.ndim == 2:
         magic = b"P5"
     elif pixels.ndim == 3 and pixels.shape[2] == 3:
         magic = b"P6"
     else:
         raise FormatError("expected HxW or HxWx3 pixel array")
+    if not np.isfinite(pixels).all():
+        raise FormatError("pixel values must be finite")
     quant = np.clip(np.rint(np.asarray(pixels, np.float64) * 255.0), 0, 255)
     h, w = pixels.shape[:2]
     with _opened(dest, "wb") as fh:

@@ -23,9 +23,9 @@ The STEBs and the decoder split their work into fixed-size blocks,
 _STEB_CHUNK attention windows or at most _DECODE_CHUNK queries, and run them on
 `threads` threads (the caller and threads - 1 pool workers). Block
 boundaries are module constants and never depend on `threads`, so every
-output is byte-identical for any thread count. BLAS is kept to one thread
-per caller (see evtpr/__init__.py), so the blocks do not oversubscribe
-the cores.
+output is byte-identical for any thread count. pipeline_forward runs
+OpenBLAS at one thread under the blocks and restores the caller's count
+after (evtpr.blas: process-wide; nothing is set under another BLAS).
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import blas
 from .errors import InvalidInputError
 from .events import EventStream, IntensityFrame
 from .kernels import (
@@ -151,6 +152,7 @@ def _available_cores() -> int:
     return os.cpu_count() or 1
 
 
+@blas.single_threaded()
 def pipeline_forward(frames: Sequence[IntensityFrame], stream: EventStream,
                      s: float, times: Sequence[float], config: PipelineConfig,
                      params: PipelineParams,
@@ -173,10 +175,9 @@ def pipeline_forward(frames: Sequence[IntensityFrame], stream: EventStream,
     Stages run one after another. Inside the STEBs and the decoder, fixed
     blocks of attention windows or queries run on `threads` threads (None:
     the cores this process may use). Block boundaries do not depend on
-    `threads`, so outputs are byte-identical for any value >= 1. Importing
-    evtpr pins BLAS to one thread unless OPENBLAS_NUM_THREADS,
-    OMP_NUM_THREADS or MKL_NUM_THREADS is already set, so BLAS does not
-    oversubscribe the cores under the blocks.
+    `threads`, so outputs are byte-identical for any value >= 1. OpenBLAS
+    runs one thread for the whole call and gets the caller's count back
+    after (evtpr.blas: process-wide; nothing is set under another BLAS).
     """
     if len(frames) != config.n_in:
         raise InvalidInputError("frame count must equal config.n_in")

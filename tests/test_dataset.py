@@ -141,6 +141,11 @@ class TestPlanCrop:
         with pytest.raises(InvalidInputError):
             plan_crop(100, 100, 1.0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("s", [0.5, math.nan, math.inf, -math.inf])
+    def test_scale_must_be_finite_and_at_least_one(self, s):
+        with pytest.raises(InvalidInputError, match="finite"):
+            plan_crop(600, 600, s, np.random.default_rng(0))
+
 
 class TestNormalizeTimes:
     def test_endpoints(self):
@@ -233,3 +238,9 @@ class TestBicubic:
         frame = IntensityFrame(timestamp=0, pixels=np.full((4, 4), 0.5))
         with pytest.raises(InvalidInputError):
             downsample_bicubic(frame, 8.0)
+
+    @pytest.mark.parametrize("s", [0.5, math.nan, math.inf, -math.inf])
+    def test_scale_must_be_finite_and_at_least_one(self, s):
+        frame = IntensityFrame(timestamp=0, pixels=np.full((4, 4), 0.5))
+        with pytest.raises(InvalidInputError, match="finite"):
+            downsample_bicubic(frame, s)

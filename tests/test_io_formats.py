@@ -267,6 +267,13 @@ class TestPixmapCodec:
             write_frame(back, b)
             assert a.getvalue() == b.getvalue()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixels_are_rejected(self, bad):
+        px = np.full((2, 2, 3), 0.5)
+        px[1, 0, 2] = bad
+        with pytest.raises(FormatError, match="finite"):
+            write_frame(px, io.BytesIO())
+
     def test_unsupported_magic_or_maxval(self):
         with pytest.raises(FormatError):
             read_frame(io.BytesIO(b"P3\n1 1\n255\n0 0 0\n"))

@@ -1,4 +1,3 @@
-import ctypes
 import hashlib
 import io
 import threading
@@ -15,6 +14,7 @@ from evtpr import (
     pipeline_forward,
     simulate_events,
 )
+from evtpr import blas
 from evtpr.io_formats import write_frame
 
 
@@ -200,29 +200,6 @@ class TestPipeline:
             pipeline_forward(frames, stream, 1.0, [0.5], config, params)
 
 
-def openblas_core():
-    """The name of the sgemm kernel numpy's OpenBLAS runs ("Haswell",
-    "SkylakeX", ...), or None if numpy's BLAS is not OpenBLAS.
-
-    OpenBLAS picks its kernel for the CPU at run time, unless
-    OPENBLAS_CORETYPE names one. numpy's linear-algebra extension links
-    the BLAS, and a symbol looked up through its handle is searched for in
-    the libraries it links too.
-    """
-    from numpy.linalg import _umath_linalg
-    lib = ctypes.CDLL(_umath_linalg.__file__)
-    # scipy-openblas (numpy >= 2), the 64-bit-int build of older wheels,
-    # then plain OpenBLAS
-    for name in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
-                 "openblas_get_corename"):
-        get_corename = getattr(lib, name, None)
-        if get_corename is not None:
-            get_corename.argtypes = []
-            get_corename.restype = ctypes.c_char_p
-            return get_corename().decode()
-    return None
-
-
 class TestBrightOutputDigest:
     """SHA-256 of the 8-bit frames, as the CLI writes them, on the
     `bright_pipeline` fixture, whose output spans [0, 1].
@@ -235,8 +212,10 @@ class TestBrightOutputDigest:
     kernel: Haswell, which CI pins with OPENBLAS_CORETYPE=Haswell, and
     SkylakeX, the default on AVX-512 hosts. Under any other kernel the test
     fails and names it; it never skips. Each kernel's digests come from its
-    own run, never copied from another. At s = 2 and 8 the decoder runs
-    mostly by sub-pixel phase, at s = 2.5 only per query.
+    own run, never copied from another; pipeline_forward runs OpenBLAS at
+    one thread, so they do not depend on the host's core count. At s = 2
+    and 8 the decoder runs mostly by sub-pixel phase, at s = 2.5 only per
+    query.
     """
 
     TIMES = [0.0, 0.5, 1.0]
@@ -245,7 +224,7 @@ class TestBrightOutputDigest:
             1.0: "69db125cd0bfe25eedca2793c72c7411beaa67a89506f5e1ff9e06f78e59a7aa",
             2.0: "8e35faec446b3572bc70b49606f731226ee4b4e4757fb335c4cc680772821175",
             2.5: "eb680dcca642836678865e32d7ab0d8bda4e89c80f33751fe5e0bf92a95c58d5",
-            8.0: "b559df2eca6983ea2368128d0440dc53be83a756b8424af6ce3667b6b398c2c1",
+            8.0: "dc7b84f76faef4cb15ffac36c3dc526d583c27fbd203321d1ba7a2994b3abfb5",
         },
         "SkylakeX": {
             1.0: "69db125cd0bfe25eedca2793c72c7411beaa67a89506f5e1ff9e06f78e59a7aa",
@@ -257,7 +236,7 @@ class TestBrightOutputDigest:
 
     @pytest.mark.parametrize("s", [1.0, 2.0, 2.5, 8.0])
     def test_frames_bytes(self, bright_pipeline, s):
-        core = openblas_core()
+        core = blas.core()
         assert core in self.DIGESTS, \
             "no bright digests pinned for OpenBLAS sgemm kernel %r" % core
         frames, stream, config, params = bright_pipeline
