@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import threading
 
 from numpy.linalg import _umath_linalg
 
@@ -39,20 +40,33 @@ def core() -> str | None:
     return None if _get_corename is None else _get_corename().decode()
 
 
+_lock = threading.Lock()
+_inside = 0  # bodies of single_threaded() running now
+_saved = 0  # the count the first of them found
+
+
 @contextlib.contextmanager
 def single_threaded():
     """Run the body (or decorated function) with OpenBLAS at one thread, then
     restore the caller's count, also when the body raises.
 
-    The count is process-wide, so bodies running at the same time on several
-    threads share it, and the first to end restores it under the others.
+    The count is process-wide, so bodies that overlap on several threads
+    share one setting: the first to enter saves the count and sets 1, and
+    the last to leave restores it.
     """
+    global _inside, _saved
     if _set_num_threads is None:
         yield
         return
-    old = _get_num_threads()
-    _set_num_threads(1)
+    with _lock:
+        if _inside == 0:
+            _saved = _get_num_threads()
+            _set_num_threads(1)
+        _inside += 1
     try:
         yield
     finally:
-        _set_num_threads(old)
+        with _lock:
+            _inside -= 1
+            if _inside == 0:
+                _set_num_threads(_saved)

@@ -13,19 +13,19 @@ its scores are keys-major, K Q^T, so the softmax reduces over contiguous
 rows; AttentionParams builds the fused weights once. Both resampling
 convolutions run as BLAS GEMMs over gathered taps, the x2 upsampling as four
 sub-pixel phases with no x2 tensor. The decoder, given a whole output grid
-(QueryGrid) at an integer scale s, decodes it by sub-pixel phase too: each
-of the s * s phases reads shifted views of one per-cell table, and only the
-clamped border band and other queries are decoded per query.
+(QueryGrid) at any scale, solves its corner geometry once per axis and
+decodes blocks of whole output rows; other queries are decoded per query.
 tests/reference.py keeps the float64-internal and straightforward
 originals, and the outputs agree with them to 1e-5.
 
 The STEBs and the decoder split their work into fixed-size blocks,
 _STEB_CHUNK attention windows or at most _DECODE_CHUNK queries, and run them on
 `threads` threads (the caller and threads - 1 pool workers). Block
-boundaries are module constants and never depend on `threads`, so every
-output is byte-identical for any thread count. pipeline_forward runs
-OpenBLAS at one thread under the blocks and restores the caller's count
-after (evtpr.blas: process-wide; nothing is set under another BLAS).
+boundaries follow from module constants and the shapes, never from
+`threads`, so every output is byte-identical for any thread count.
+pipeline_forward runs OpenBLAS at one thread under the blocks and restores
+the caller's count after (evtpr.blas: process-wide; nothing is set under
+another BLAS).
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
@@ -632,13 +631,13 @@ def timestamp_head(t: float, fuse: ConvParams, params: TemporalEmbedParams) -> C
 # ---------------------------------------------------------------------------
 # implicit spatial decoding
 
-# Queries per decode block, on both paths. A block's temporaries are
-# 4 * _DECODE_CHUNK rows of the decoder's hidden width (1 MB at width 64), so
-# peak memory does not grow with the output size, and blocks that small are
-# reused from the heap rather than mapped (and page-faulted) afresh for every
-# layer. 1024 rather than 4096: decode per upscale-x8 clip took 1007 ms at
-# 1024 against 1153 ms at 4096 on the phase path, and 1191 against 1286 ms on
-# the per-query path (medians of 10 clips, chunk sizes alternating in one
+# Queries per decode block. A block's temporaries are 4 * _DECODE_CHUNK rows
+# of the decoder's hidden width (1 MB at width 64), so peak memory does not
+# grow with the output size, and blocks that small are reused from the heap
+# rather than mapped (and page-faulted) afresh for every layer. 1024 rather
+# than 4096: decode per upscale-x8 clip took 1007 ms at 1024 against 1153 ms
+# at 4096 on a sub-pixel phase path since removed, and 1191 against 1286 ms
+# on the per-query path (medians of 10 clips, chunk sizes alternating in one
 # process; 2-core VM, one BLAS thread).
 _DECODE_CHUNK = 1024
 
@@ -647,11 +646,7 @@ _DECODE_CHUNK = 1024
 class QueryGrid:
     """The pixel centres of an out_h x out_w output grid at scale s, as
     spatial_decode queries: output pixel (Y, X) is the query
-    ((X + 0.5) / s, (Y + 0.5) / s), in row-major order.
-
-    np.asarray gives the (out_h * out_w) x 2 float64 (x, y) array; passed
-    as it is, it tells spatial_decode that its queries are a whole grid.
-    """
+    ((X + 0.5) / s, (Y + 0.5) / s), in row-major order."""
     out_h: int
     out_w: int
     s: float
@@ -659,39 +654,38 @@ class QueryGrid:
     def __len__(self) -> int:
         return self.out_h * self.out_w
 
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        q = np.empty((len(self), 2))
-        grid = q.reshape(self.out_h, self.out_w, 2)
-        grid[..., 0] = (np.arange(self.out_w) + 0.5) / self.s
-        grid[..., 1] = ((np.arange(self.out_h) + 0.5) / self.s)[:, None]
-        return q if dtype is None else q.astype(dtype, copy=False)
+
+def _taps(q: np.ndarray, n: int):
+    """The two taps of coordinates q on an axis of n cells, their offsets
+    q - (tap + 0.5) and their area factors, each 2 x len(q)
+    (spatial_decode's docstring has the rules).
+
+    A tap's factor is the |offset| of the other tap; where both are 0 (both
+    taps are one cell and q is on its centre), both factors are 1.
+    """
+    low = np.clip(np.floor(q - 0.5).astype(np.int64), 0, n - 1)
+    taps = np.stack([low, np.minimum(low + 1, n - 1)])
+    offsets = q - (taps + 0.5)
+    factors = np.abs(offsets[::-1])
+    factors[:, ~factors.any(axis=0)] = 1.0
+    return taps, offsets, factors
 
 
 def _corners(qx: np.ndarray, qy: np.ndarray, h: int, w: int):
     """Corner cells, offsets and area weights of queries (qx, qy) on an
-    h x w grid (spatial_decode's docstring has the rules).
+    h x w grid.
 
     Returns rows, cols, dx, dy and weights, each 4 x len(qx): corner k of a
     query is cell (rows[k], cols[k]) at offset (dx[k], dy[k]) from its
-    centre, in the order (i0, j0), (i0, j1), (i1, j0), (i1, j1).
+    centre, in the order (i0, j0), (i0, j1), (i1, j0), (i1, j1). Its weight
+    is the area to the opposite corner, a product of per-axis factors.
     """
-    j0 = np.clip(np.floor(qx - 0.5).astype(np.int64), 0, w - 1)
-    i0 = np.clip(np.floor(qy - 0.5).astype(np.int64), 0, h - 1)
-    j1 = np.minimum(j0 + 1, w - 1)
-    i1 = np.minimum(i0 + 1, h - 1)
-    rows = np.stack([i0, i0, i1, i1])
-    cols = np.stack([j0, j1, j0, j1])
-    dx = qx - (cols + 0.5)
-    dy = qy - (rows + 0.5)
-    # corner k is weighted by the area to the opposite corner, 3 - k, a
-    # product of per-axis factors; all-zero factors become 1
-    ax = np.abs(dx[::-1])
-    ay = np.abs(dy[::-1])
-    ax[:, ~ax.any(axis=0)] = 1.0
-    ay[:, ~ay.any(axis=0)] = 1.0
-    weights = ax * ay
+    cols, dx, ax = _taps(qx, w)
+    rows, dy, ay = _taps(qy, h)
+    a, b = [0, 0, 1, 1], [0, 1, 0, 1]  # the row and column tap of corner k
+    weights = ax[b] * ay[a]
     weights /= weights.sum(axis=0)
-    return rows, cols, dx, dy, weights
+    return rows[a], cols[b], dx[b], dy[a], weights
 
 
 def spatial_decode(feature: np.ndarray, queries, s: float,
@@ -726,35 +720,39 @@ def spatial_decode(feature: np.ndarray, queries, s: float,
     output size. Blocks share the per-cell table and run on `threads`
     threads.
 
-    Given QueryGrid(s * h, s * w, s) at an integer s, every output pixel
-    whose four corners are unclamped is decoded by sub-pixel phase, as
-    upsample_double does (Shi et al., CVPR 2016): the pixels of one phase,
-    out[y0::s, x0::s], share their four offsets and weights, so each corner
-    is the per-cell table shifted by (0 or 1, 0 or 1) cells plus one offset
-    row, with no per-query geometry or gather. Blocks are (phase, cell rows,
-    cell columns) blocks. The rest run per query, through the same code as
-    any query array: the clamped border band (s//2 pixels at the top and
-    left, s - s//2 at the bottom and right; at s = 8 on a 64 x 64 feature,
-    8,128 of 262,144 pixels), any non-integer s, and any other queries. Both paths run the same
-    float32 operations on each pixel. Where s is a power of two, so that
-    offsets are exact, they agree to the bit unless BLAS rounds a block
-    with another kernel: OpenBLAS 0.3.31 (Haswell) does so for GEMMs of at
-    most 76,800 multiply-adds, which at hidden width 64 means blocks of at
-    most 100 queries.
+    A query array runs in blocks of _DECODE_CHUNK queries. A QueryGrid, at
+    any s, runs in blocks of whole output rows, at most _DECODE_CHUNK
+    pixels (a row wider than that in runs of _DECODE_CHUNK columns). A
+    pixel's corner rows, dy and row factors depend only on its output row,
+    its columns, dx and column factors only on its column, so each axis is
+    solved once and a block takes its four corners as outer combinations of
+    the two. Both kinds of block run the same float32 operations on each
+    pixel, in the same order. Where out_w divides _DECODE_CHUNK, a grid's
+    blocks are the blocks of the same points as an array, so the two give
+    the same bytes. Otherwise they may differ in the last bits: some sgemm
+    kernels (OpenBLAS 0.3.31's Haswell) round a row of a float32 product by
+    the number of rows in the block and the row's place in it.
     """
     if not 1 <= s < math.inf:
         raise InvalidInputError("scale must be finite and >= 1")
     c, h, w = feature.shape
     if decoder.in_dim != c + 2:
         raise InvalidInputError("decoder input dim must be feature channels + 2")
-    phased = isinstance(queries, QueryGrid) and queries.s == s and \
-        float(s).is_integer() and (queries.out_h, queries.out_w) == (s * h, s * w)
-    if not phased:
+    grid = isinstance(queries, QueryGrid)
+    if grid:
+        qx = (np.arange(queries.out_w) + 0.5) / queries.s
+        qy = (np.arange(queries.out_h) + 0.5) / queries.s
+        inside = np.all((qx >= 0) & (qx <= w)) and np.all((qy >= 0) & (qy <= h))
+    else:
         q = np.asarray(queries, np.float64)
         if q.ndim != 2 or q.shape[1] != 2:
             raise InvalidInputError("queries must be N x 2 (x, y)")
-        if not np.all((q >= 0) & (q <= (w, h))):
-            raise InvalidInputError("query outside the feature grid extent")
+        inside = np.all((q >= 0) & (q <= (w, h)))
+    if not inside:
+        raise InvalidInputError("query outside the feature grid extent")
+    out = np.empty((len(queries), decoder.out_dim), np.float32)
+    if len(out) == 0:
+        return out
 
     w1 = decoder.weights[0]
     cell = _f32(feature).reshape(c, h * w).T @ w1[:, :c].T  # (h*w) x hidden
@@ -764,65 +762,49 @@ def spatial_decode(feature: np.ndarray, queries, s: float,
     rest = MlpParams(weights=decoder.weights[1:], biases=decoder.biases[1:],
                      activations=decoder.activations[1:])
 
-    def offset_rows(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-        return np.stack([dx.ravel(), dy.ravel()], axis=1).astype(np.float32) @ w_offset
-
-    def blend(hidden: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        # hidden: first-layer pre-activations of 4 x n corners, corner-major
+    def decode(start: int, idx: np.ndarray, dxy: np.ndarray, weights: np.ndarray) -> None:
+        # idx, dxy: the cell and float32 (dx, dy) offset of 4 x n corners,
+        # corner-major; weights: their 4 x n float64 area weights
+        hidden = np.take(cell, idx, axis=0)
+        hidden += dxy @ w_offset
         rgb = mlp_forward(first_act(hidden), rest).reshape(4, weights.shape[1], -1)
-        return np.einsum("kn,knc->nc", weights.astype(np.float32), rgb)
-
-    out = np.empty((len(queries), decoder.out_dim), np.float32)
-    blocks = []  # phase blocks (p, i, j), run before the per-query blocks
-    targets = None  # the output row of each row of q, if not the same row
-    if phased:
-        # The pixels whose four corners are unclamped are one rectangle, rows
-        # [s//2, s//2 + s(h-1)) by the same range of columns; the rest is
-        # border, decoded per query. Phase p = py * s + px covers the pixels
-        # Y = s//2 + py + s i, X = s//2 + px + s j of cells i < h - 1,
-        # j < w - 1. Its first pixel has corner 0 at cell (0, 0) and fixes its
-        # geometry, and its corner tables are table[:-1, :-1],
-        # table[:-1, 1:], table[1:, :-1] and table[1:, 1:].
-        s = int(s)
-        out3 = out.reshape(s * h, s * w, -1)
-        border = np.ones((s * h, s * w), bool)
-        border[s // 2:s // 2 + s * (h - 1), s // 2:s // 2 + s * (w - 1)] = False
-        targets = np.flatnonzero(border)
-        q = np.stack([(targets % (s * w) + 0.5) / s, (targets // (s * w) + 0.5) / s], axis=1)
-        first = s // 2 + np.arange(s)
-        fy, fx = np.repeat(first, s), np.tile(first, s)
-        _, _, dx, dy, phase_weights = _corners((fx + 0.5) / s, (fy + 0.5) / s, h, w)
-        offsets = offset_rows(dx, dy).reshape(4, s * s, -1)
-        table = cell.reshape(h, w, -1)
-        block_rows = max(1, _DECODE_CHUNK // max(1, w - 1))
-        block_cols = min(max(1, w - 1), _DECODE_CHUNK)
-        blocks = [(p, i, j) for p in range(s * s)
-                  for i in range(0, h - 1, block_rows)
-                  for j in range(0, w - 1, block_cols)]
-
-    def phase_block(p: int, i: int, j: int) -> None:
-        ni, nj = min(block_rows, h - 1 - i), min(block_cols, w - 1 - j)
-        hidden = np.empty((4, ni, nj, table.shape[2]), np.float32)
-        for k, (a, b) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-            np.add(table[i + a:i + a + ni, j + b:j + b + nj], offsets[k, p],
-                   out=hidden[k])
-        rgb = blend(hidden.reshape(4 * ni * nj, -1),
-                    np.repeat(phase_weights[:, p:p + 1], ni * nj, axis=1))
-        y0, x0 = fy[p] + s * i, fx[p] + s * j
-        out3[y0:y0 + s * ni:s, x0:x0 + s * nj:s] = rgb.reshape(ni, nj, -1)
+        out[start:start + weights.shape[1]] = \
+            np.einsum("kn,knc->nc", weights.astype(np.float32), rgb)
 
     def query_block(start: int) -> None:
         qx, qy = q[start:start + _DECODE_CHUNK].T
         rows, cols, dx, dy, weights = _corners(qx, qy, h, w)
-        hidden = cell[(rows * w + cols).ravel()]
-        hidden += offset_rows(dx, dy)
-        stop = start + len(qx)
-        out[slice(start, stop) if targets is None else targets[start:stop]] = \
-            blend(hidden, weights)
+        decode(start, (rows * w + cols).ravel(),
+               np.stack([dx.ravel(), dy.ravel()], axis=1).astype(np.float32), weights)
 
-    tasks = [partial(phase_block, *block) for block in blocks]
-    tasks += [partial(query_block, start) for start in range(0, len(q), _DECODE_CHUNK)]
-    _map_blocks(lambda task: task(), tasks, threads)
+    if grid:
+        out_h, out_w = queries.out_h, queries.out_w
+        cols, dx, ax = _taps(qx, w)
+        rows, dy, ay = _taps(qy, h)
+        rows *= w  # each tap's first cell index
+        block_rows = max(1, _DECODE_CHUNK // out_w)
+        block_cols = min(out_w, _DECODE_CHUNK)
+
+        def grid_block(start: tuple[int, int]) -> None:
+            # output rows y0:y1 by columns x0:x1; axes (a, b) are the row and
+            # column tap, so corner (a, b) is corner k = 2a + b of each pixel
+            y0, x0 = start
+            y1, x1 = min(y0 + block_rows, out_h), min(x0 + block_cols, out_w)
+            y, x = slice(y0, y1), slice(x0, x1)
+            shape = (2, 2, y1 - y0, x1 - x0)
+            idx = np.empty(shape, np.intp)
+            np.add(rows[:, None, y, None], cols[None, :, None, x], out=idx)
+            dxy = np.empty(shape + (2,), np.float32)
+            dxy[..., 0] = dx[None, :, None, x]
+            dxy[..., 1] = dy[:, None, y, None]
+            weights = np.multiply(ax[None, :, None, x], ay[:, None, y, None]).reshape(4, -1)
+            weights /= weights.sum(axis=0)
+            decode(y0 * out_w + x0, idx.reshape(-1), dxy.reshape(-1, 2), weights)
+
+        _map_blocks(grid_block, [(y0, x0) for y0 in range(0, out_h, block_rows)
+                                 for x0 in range(0, out_w, block_cols)], threads)
+    else:
+        _map_blocks(query_block, range(0, len(q), _DECODE_CHUNK), threads)
     if not np.all(np.isfinite(out)):
         raise NumericError("non-finite decoded values")
     return out

@@ -165,12 +165,9 @@ def pipeline_forward(frames: Sequence[IntensityFrame], stream: EventStream,
     timestamp they run as one folded 1x1 conv (`timestamp_head`) on
     F_g + F_t, and the C_t-channel fused tensor is never built.
 
-    The decoder is given the output grid as a QueryGrid. At an integer
-    `s` it decodes every pixel with four unclamped corners by sub-pixel
-    phase, from shifted views of its per-cell table; the clamped border
-    band (s//2 pixels at the top and left, s - s//2 at the bottom and
-    right) and every pixel at a non-integer `s` are decoded per query,
-    with the same float32 operations per pixel.
+    The decoder is given the output grid as a QueryGrid. At any `s` it
+    solves the corner geometry once per axis and decodes blocks of whole
+    output rows, at most 1024 pixels each.
 
     Stages run one after another. Inside the STEBs and the decoder, fixed
     blocks of attention windows or queries run on `threads` threads (None:

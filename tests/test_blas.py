@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -88,3 +89,63 @@ def test_bright_bytes_do_not_depend_on_the_callers_blas_threads(bright_pipeline,
     for other in outs[1:]:
         for a, b in zip(outs[0], other):
             assert a.tobytes() == b.tobytes()
+
+
+def test_overlapping_bodies_keep_one_thread_until_the_last_leaves():
+    # A enters, B enters, A leaves while B is inside, then B leaves
+    a_in, b_in, a_out, b_go = (threading.Event() for _ in range(4))
+
+    def run_a():
+        with blas.single_threaded():
+            a_in.set()
+            b_in.wait(60)
+        a_out.set()
+
+    def run_b():
+        a_in.wait(60)
+        with blas.single_threaded():
+            b_in.set()
+            b_go.wait(60)
+
+    with blas_threads(3):
+        threads = [threading.Thread(target=run_a), threading.Thread(target=run_b)]
+        for t in threads:
+            t.start()
+        try:
+            assert a_out.wait(60)
+            inside = blas._get_num_threads()
+        finally:
+            b_go.set()
+            for t in threads:
+                t.join(60)
+        assert not any(t.is_alive() for t in threads)
+        after = blas._get_num_threads()
+    assert (inside, after) == (1, 3)
+
+
+def test_many_overlapping_bodies_see_one_thread():
+    # more threads than cores, switching often: a lost update of the count
+    # of bodies in flight restores the caller's count under a running body
+    # or leaves 1 behind
+    seen = []
+
+    def run():
+        for _ in range(200):
+            with blas.single_threaded():
+                seen.append(blas._get_num_threads())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with blas_threads(3):
+            threads = [threading.Thread(target=run) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+            assert not any(t.is_alive() for t in threads)
+            after = blas._get_num_threads()
+    finally:
+        sys.setswitchinterval(interval)
+    assert set(seen) == {1} and len(seen) == 8 * 200
+    assert after == 3

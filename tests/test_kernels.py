@@ -945,33 +945,70 @@ def grid_queries(out_h, out_w, s):
 
 
 class TestPhaseDecode:
-    """spatial_decode of a whole QueryGrid at an integer scale, by phase."""
+    """spatial_decode of a whole QueryGrid, by blocks of output rows. (The
+    class is named after the sub-pixel phase path that the grid path
+    replaced; the name is kept so that its test ids stay.)"""
 
     @staticmethod
     def decoder(rng, c, hidden=16):
         return _init_mlp(rng, [c + 2, hidden, hidden, hidden, 3],
                          ["relu", "relu", "relu", "none"])
 
-    def test_grid_array_matches_pixel_centres(self):
-        grid = QueryGrid(5, 7, 2.5)
-        assert len(grid) == 35
-        assert np.array_equal(np.asarray(grid), grid_queries(5, 7, 2.5))
-        assert np.asarray(grid, np.float32).dtype == np.float32
-
     # h or w of 1 has no unclamped pixel and 2 one row or column of cells
     @pytest.mark.parametrize("h,w", [(5, 9), (9, 4), (1, 6), (6, 1), (2, 7),
                                      (7, 2), (2, 2), (1, 1)])
-    @pytest.mark.parametrize("s", [1, 2, 3, 8])
+    @pytest.mark.parametrize("s", [1, 2, 3, 8, 1.5, 2.5, 7.5])
     def test_matches_query_array(self, h, w, s):
         rng = np.random.default_rng(100 + 10 * h + w)
         c = 5
         decoder = self.decoder(rng, c)
         feature = rng.standard_normal((c, h, w)).astype(np.float32)
-        grid = QueryGrid(s * h, s * w, float(s))
+        out_h, out_w = int(s * h), int(s * w)
+        grid = QueryGrid(out_h, out_w, float(s))
         out = spatial_decode(feature, grid, float(s), decoder)
-        ref = spatial_decode(feature, grid_queries(s * h, s * w, s), float(s), decoder)
-        assert out.shape == ref.shape == (s * h * s * w, 3)
+        ref = spatial_decode(feature, grid_queries(out_h, out_w, s), float(s), decoder)
+        assert out.shape == ref.shape == (out_h * out_w, 3)
         assert np.abs(out - ref).max() <= 1e-6
+
+    @pytest.mark.parametrize("s", [2, 4, 8])
+    def test_same_bytes_as_query_array_where_rows_divide_blocks(self, s):
+        # out_w = 64 s divides _DECODE_CHUNK, so the grid's blocks are the
+        # array's blocks, and the bytes agree under every sgemm kernel
+        rng = np.random.default_rng(47)
+        c, h, w = 8, 64, 64
+        decoder = self.decoder(rng, c, hidden=64)
+        feature = rng.standard_normal((c, h, w)).astype(np.float32)
+        out = spatial_decode(feature, QueryGrid(s * h, s * w, float(s)), float(s), decoder)
+        ref = spatial_decode(feature, grid_queries(s * h, s * w, s), float(s), decoder)
+        assert np.array_equal(out, ref)
+
+    def test_wide_rows_run_in_column_runs(self):
+        # a row of 1100 pixels is two blocks, 1024 columns and 76
+        rng = np.random.default_rng(48)
+        c, h, w, s = 3, 2, 275, 4
+        decoder = self.decoder(rng, c)
+        feature = rng.standard_normal((c, h, w)).astype(np.float32)
+        out = spatial_decode(feature, QueryGrid(s * h, s * w, float(s)), float(s), decoder)
+        ref = spatial_decode(feature, grid_queries(s * h, s * w, s), float(s), decoder)
+        assert np.abs(out - ref).max() <= 1e-6
+
+    def test_grid_past_the_extent_raises(self):
+        rng = np.random.default_rng(49)
+        c, h, w = 2, 4, 4
+        decoder = self.decoder(rng, c)
+        feature = np.zeros((c, h, w), np.float32)
+        # the last pixel centres of 9 columns at s = 2 lie at x = 4.25
+        for grid in (QueryGrid(8, 9, 2.0), QueryGrid(9, 8, 2.0)):
+            with pytest.raises(InvalidInputError):
+                spatial_decode(feature, grid, 2.0, decoder)
+
+    @pytest.mark.parametrize("out_h,out_w", [(0, 8), (8, 0), (0, 0)])
+    def test_empty_grid(self, out_h, out_w):
+        rng = np.random.default_rng(50)
+        decoder = self.decoder(rng, 2)
+        feature = np.zeros((2, 4, 4), np.float32)
+        out = spatial_decode(feature, QueryGrid(out_h, out_w, 2.0), 2.0, decoder)
+        assert out.shape == (0, 3)
 
     def test_matches_geometric_oracle(self):
         rng = np.random.default_rng(44)
@@ -986,7 +1023,7 @@ class TestPhaseDecode:
         assert np.allclose(out[inner], ref, rtol=1e-5, atol=1e-5)
 
     def test_blocks_byte_identical_across_thread_counts(self):
-        # 64 phases of 8 x 10 cells each plus the border band
+        # 88-pixel rows, 11 to a block: 72 rows in 7 blocks, the last ragged
         rng = np.random.default_rng(45)
         c, h, w, s = 6, 9, 11, 8
         decoder = self.decoder(rng, c)
@@ -1002,7 +1039,7 @@ class TestPhaseDecode:
         c, h, w = 4, 6, 6
         decoder = self.decoder(rng, c)
         feature = rng.standard_normal((c, h, w)).astype(np.float32)
-        feature[1, 3, 2] = np.nan  # an interior cell, decoded by phase only
+        feature[1, 3, 2] = np.nan  # an interior cell, away from the border
         with pytest.raises(NumericError):
             spatial_decode(feature, QueryGrid(4 * h, 4 * w, 4.0), 4.0, decoder)
 

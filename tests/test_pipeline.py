@@ -213,9 +213,8 @@ class TestBrightOutputDigest:
     SkylakeX, the default on AVX-512 hosts. Under any other kernel the test
     fails and names it; it never skips. Each kernel's digests come from its
     own run, never copied from another; pipeline_forward runs OpenBLAS at
-    one thread, so they do not depend on the host's core count. At s = 2
-    and 8 the decoder runs mostly by sub-pixel phase, at s = 2.5 only per
-    query.
+    one thread, so they do not depend on the host's core count. The
+    decoder gets the output grid, in blocks of whole output rows.
     """
 
     TIMES = [0.0, 0.5, 1.0]
@@ -224,7 +223,7 @@ class TestBrightOutputDigest:
             1.0: "69db125cd0bfe25eedca2793c72c7411beaa67a89506f5e1ff9e06f78e59a7aa",
             2.0: "8e35faec446b3572bc70b49606f731226ee4b4e4757fb335c4cc680772821175",
             2.5: "eb680dcca642836678865e32d7ab0d8bda4e89c80f33751fe5e0bf92a95c58d5",
-            8.0: "dc7b84f76faef4cb15ffac36c3dc526d583c27fbd203321d1ba7a2994b3abfb5",
+            8.0: "fdf7f731166564b50f57eb2daa7dabd637dcaf4b1722a91cf7da09c2ef4050a2",
         },
         "SkylakeX": {
             1.0: "69db125cd0bfe25eedca2793c72c7411beaa67a89506f5e1ff9e06f78e59a7aa",
