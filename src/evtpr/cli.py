@@ -50,21 +50,28 @@ def _parse_fraction(text: str, what: str) -> Fraction:
 
 
 def _parse_rational(text: str) -> Fraction:
-    """Seconds as a decimal ('0.5', '0.5s') or exact rational ('1/3')."""
+    """Seconds as a decimal ('0.5', '0.5s') or exact rational ('1/3'), within
+    the float range."""
     text = text.strip()
-    return _parse_fraction(text[:-1] if text.endswith("s") else text, "time value")
-
-
-def _thread_count(text: str) -> int:
-    """--threads / EVTPR_THREADS: a positive integer, else exit 2 at parse time."""
+    value = _parse_fraction(text[:-1] if text.endswith("s") else text, "time value")
     try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            "must be a positive integer (from --threads or EVTPR_THREADS), got %r" % text)
+        float(value)
+    except OverflowError:
+        raise UsageError("time value %r does not fit a float" % text) from None
     return value
+
+
+def _int_at_least(low: int, expected: str):
+    """An argparse type: an integer >= low, else exit 2 at parse time."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError("must be %s, got %r" % (expected, text))
+        return value
+    return parse
 
 
 def _frame_paths(directory: str) -> list[Path]:
@@ -239,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Event-stream representations and forward decoding pipeline")
     # argparse converts a string default with `type` too, so a bad
     # EVTPR_THREADS is a usage error exactly like a bad --threads
-    parser.add_argument("--threads", type=_thread_count,
+    parser.add_argument("--threads", type=_int_at_least(
+                            1, "a positive integer (from --threads or EVTPR_THREADS)"),
                         default=os.environ.get("EVTPR_THREADS") or None,
                         help="threads for the pipeline's attention and decoder "
                              "blocks (default: EVTPR_THREADS, else the usable "
@@ -302,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=float, required=True)
     p.add_argument("--times", required=True,
                    help="comma-separated normalized timestamps in [0,1]")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0, "a non-negative integer"), default=0)
     p.add_argument("--timestamps", default=None)
     p.add_argument("--cr", type=int, default=8)
     p.add_argument("--ct", type=int, default=16)

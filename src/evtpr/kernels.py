@@ -12,9 +12,11 @@ fused C x 3C GEMM whose Q columns carry the 1/sqrt(d) of the scores, and
 its scores are keys-major, K Q^T, so the softmax reduces over contiguous
 rows; AttentionParams builds the fused weights once. Both resampling
 convolutions run as BLAS GEMMs over gathered taps, the x2 upsampling as four
-sub-pixel phases with no x2 tensor. The decoder, given a whole output grid
-(QueryGrid) at any scale, solves its corner geometry once per axis and
-decodes blocks of whole output rows; other queries are decoded per query.
+sub-pixel phases with no x2 tensor. The decoder runs one block body for
+query arrays and output grids: a block takes the taps of its rows and of
+its columns and broadcasts them into each query's four corners. A whole
+output grid (QueryGrid), at any scale, solves each axis once and decodes
+blocks of whole output rows; a query array solves its axes per block.
 tests/reference.py keeps the float64-internal and straightforward
 originals, and the outputs agree with them to 1e-5.
 
@@ -657,7 +659,7 @@ class QueryGrid:
 
 def _taps(q: np.ndarray, n: int):
     """The two taps of coordinates q on an axis of n cells, their offsets
-    q - (tap + 0.5) and their area factors, each 2 x len(q)
+    q - (tap + 0.5) and their area factors, each 2 x q.shape
     (spatial_decode's docstring has the rules).
 
     A tap's factor is the |offset| of the other tap; where both are 0 (both
@@ -671,28 +673,12 @@ def _taps(q: np.ndarray, n: int):
     return taps, offsets, factors
 
 
-def _corners(qx: np.ndarray, qy: np.ndarray, h: int, w: int):
-    """Corner cells, offsets and area weights of queries (qx, qy) on an
-    h x w grid.
-
-    Returns rows, cols, dx, dy and weights, each 4 x len(qx): corner k of a
-    query is cell (rows[k], cols[k]) at offset (dx[k], dy[k]) from its
-    centre, in the order (i0, j0), (i0, j1), (i1, j0), (i1, j1). Its weight
-    is the area to the opposite corner, a product of per-axis factors.
-    """
-    cols, dx, ax = _taps(qx, w)
-    rows, dy, ay = _taps(qy, h)
-    a, b = [0, 0, 1, 1], [0, 1, 0, 1]  # the row and column tap of corner k
-    weights = ax[b] * ay[a]
-    weights /= weights.sum(axis=0)
-    return rows[a], cols[b], dx[b], dy[a], weights
-
-
 def spatial_decode(feature: np.ndarray, queries, s: float,
                    decoder: MlpParams, threads: int = 1) -> np.ndarray:
     """Decode RGB at continuous (x, y) query points over a C x h x w grid.
 
-    `queries` is an N x 2 array of (x, y) points or a QueryGrid.
+    `queries` is an N x 2 array of (x, y) points or a QueryGrid, whose s
+    must equal `s`.
 
     Cell (i, j) has its center at (j + 0.5, i + 0.5); the grid's continuous
     extent is [0, w] x [0, h]. Per query the four nearest cells each decode
@@ -720,14 +706,15 @@ def spatial_decode(feature: np.ndarray, queries, s: float,
     output size. Blocks share the per-cell table and run on `threads`
     threads.
 
-    A query array runs in blocks of _DECODE_CHUNK queries. A QueryGrid, at
-    any s, runs in blocks of whole output rows, at most _DECODE_CHUNK
-    pixels (a row wider than that in runs of _DECODE_CHUNK columns). A
-    pixel's corner rows, dy and row factors depend only on its output row,
-    its columns, dx and column factors only on its column, so each axis is
-    solved once and a block takes its four corners as outer combinations of
-    the two. Both kinds of block run the same float32 operations on each
-    pixel, in the same order. Where out_w divides _DECODE_CHUNK, a grid's
+    One block body serves both kinds of query. It takes the taps, offsets
+    and factors of its rows and of its columns and forms corner (a, b), row
+    tap a and column tap b, by broadcasting one against the other. A query
+    array pairs them element by element and runs in blocks of
+    _DECODE_CHUNK queries, each solving its own axes. A QueryGrid solves
+    each axis once, its rows as a column and its columns as a row, so they
+    broadcast to its pixels; at any s it runs in blocks of whole output
+    rows, at most _DECODE_CHUNK pixels (a row wider than that in runs of
+    _DECODE_CHUNK columns). Where out_w divides _DECODE_CHUNK, a grid's
     blocks are the blocks of the same points as an array, so the two give
     the same bytes. Otherwise they may differ in the last bits: some sgemm
     kernels (OpenBLAS 0.3.31's Haswell) round a row of a float32 product by
@@ -738,17 +725,17 @@ def spatial_decode(feature: np.ndarray, queries, s: float,
     c, h, w = feature.shape
     if decoder.in_dim != c + 2:
         raise InvalidInputError("decoder input dim must be feature channels + 2")
-    grid = isinstance(queries, QueryGrid)
-    if grid:
-        qx = (np.arange(queries.out_w) + 0.5) / queries.s
-        qy = (np.arange(queries.out_h) + 0.5) / queries.s
-        inside = np.all((qx >= 0) & (qx <= w)) and np.all((qy >= 0) & (qy <= h))
+    if isinstance(queries, QueryGrid):
+        if queries.s != s:
+            raise InvalidInputError("query grid scale differs from s")
+        qx = ((np.arange(queries.out_w) + 0.5) / s)[None, :]
+        qy = ((np.arange(queries.out_h) + 0.5) / s)[:, None]
     else:
         q = np.asarray(queries, np.float64)
         if q.ndim != 2 or q.shape[1] != 2:
             raise InvalidInputError("queries must be N x 2 (x, y)")
-        inside = np.all((q >= 0) & (q <= (w, h)))
-    if not inside:
+        qx, qy = q.T
+    if not (np.all((qx >= 0) & (qx <= w)) and np.all((qy >= 0) & (qy <= h))):
         raise InvalidInputError("query outside the feature grid extent")
     out = np.empty((len(queries), decoder.out_dim), np.float32)
     if len(out) == 0:
@@ -762,49 +749,42 @@ def spatial_decode(feature: np.ndarray, queries, s: float,
     rest = MlpParams(weights=decoder.weights[1:], biases=decoder.biases[1:],
                      activations=decoder.activations[1:])
 
-    def decode(start: int, idx: np.ndarray, dxy: np.ndarray, weights: np.ndarray) -> None:
-        # idx, dxy: the cell and float32 (dx, dy) offset of 4 x n corners,
-        # corner-major; weights: their 4 x n float64 area weights
-        hidden = np.take(cell, idx, axis=0)
-        hidden += dxy @ w_offset
+    def block(start: int, row_taps, col_taps) -> None:
+        # corner k = 2a + b of each query pairs row tap a with column tap b
+        (rows, dy, ay), (cols, dx, ax) = row_taps, col_taps
+        idx = (rows * w)[:, None] + cols[None, :]
+        dxy = np.empty(idx.shape + (2,), np.float32)
+        dxy[..., 0] = dx[None, :]
+        dxy[..., 1] = dy[:, None]
+        weights = (ax[None, :] * ay[:, None]).reshape(4, -1)
+        weights /= weights.sum(axis=0)
+        hidden = np.take(cell, idx.reshape(-1), axis=0)
+        hidden += dxy.reshape(-1, 2) @ w_offset
         rgb = mlp_forward(first_act(hidden), rest).reshape(4, weights.shape[1], -1)
         out[start:start + weights.shape[1]] = \
             np.einsum("kn,knc->nc", weights.astype(np.float32), rgb)
 
-    def query_block(start: int) -> None:
-        qx, qy = q[start:start + _DECODE_CHUNK].T
-        rows, cols, dx, dy, weights = _corners(qx, qy, h, w)
-        decode(start, (rows * w + cols).ravel(),
-               np.stack([dx.ravel(), dy.ravel()], axis=1).astype(np.float32), weights)
-
-    if grid:
+    if isinstance(queries, QueryGrid):
         out_h, out_w = queries.out_h, queries.out_w
-        cols, dx, ax = _taps(qx, w)
-        rows, dy, ay = _taps(qy, h)
-        rows *= w  # each tap's first cell index
+        row_taps, col_taps = _taps(qy, h), _taps(qx, w)
         block_rows = max(1, _DECODE_CHUNK // out_w)
         block_cols = min(out_w, _DECODE_CHUNK)
 
-        def grid_block(start: tuple[int, int]) -> None:
-            # output rows y0:y1 by columns x0:x1; axes (a, b) are the row and
-            # column tap, so corner (a, b) is corner k = 2a + b of each pixel
-            y0, x0 = start
-            y1, x1 = min(y0 + block_rows, out_h), min(x0 + block_cols, out_w)
-            y, x = slice(y0, y1), slice(x0, x1)
-            shape = (2, 2, y1 - y0, x1 - x0)
-            idx = np.empty(shape, np.intp)
-            np.add(rows[:, None, y, None], cols[None, :, None, x], out=idx)
-            dxy = np.empty(shape + (2,), np.float32)
-            dxy[..., 0] = dx[None, :, None, x]
-            dxy[..., 1] = dy[:, None, y, None]
-            weights = np.multiply(ax[None, :, None, x], ay[:, None, y, None]).reshape(4, -1)
-            weights /= weights.sum(axis=0)
-            decode(y0 * out_w + x0, idx.reshape(-1), dxy.reshape(-1, 2), weights)
+        def run(start: int) -> None:
+            # whole output rows, or a run of block_cols columns of one row
+            y, x = divmod(start, out_w)
+            block(start, [a[:, y:y + block_rows] for a in row_taps],
+                  [a[..., x:x + block_cols] for a in col_taps])
 
-        _map_blocks(grid_block, [(y0, x0) for y0 in range(0, out_h, block_rows)
-                                 for x0 in range(0, out_w, block_cols)], threads)
+        starts = [y * out_w + x for y in range(0, out_h, block_rows)
+                  for x in range(0, out_w, block_cols)]
     else:
-        _map_blocks(query_block, range(0, len(q), _DECODE_CHUNK), threads)
+        def run(start: int) -> None:
+            end = start + _DECODE_CHUNK
+            block(start, _taps(qy[start:end], h), _taps(qx[start:end], w))
+
+        starts = range(0, len(qx), _DECODE_CHUNK)
+    _map_blocks(run, starts, threads)
     if not np.all(np.isfinite(out)):
         raise NumericError("non-finite decoded values")
     return out

@@ -518,6 +518,29 @@ class TestUsageErrors:
                      "--times", ",", "-o", str(tmp_path / "out")]) == 2
         assert_one_line_error(capsys, "usage error: ")
 
+    @pytest.mark.parametrize("times", [["--half-window", "1e400"],
+                                       ["--half-window", "0.001s", "--center", "1e400"]],
+                             ids=["half-window", "center"])
+    def test_time_value_beyond_float_range(self, rgb_clip, tmp_path, capsys, times):
+        _, events = rgb_clip
+        out = tmp_path / "t.tns"
+        capsys.readouterr()
+        assert main(["tpr", str(events), "--L", "3", "--Mp", "2", "--r", "3",
+                     *times, "-o", str(out)]) == 2
+        assert_one_line_error(capsys, "usage error: ")
+        assert not out.exists()
+
+    def test_negative_seed(self, rgb_clip, tmp_path, capsys):
+        d, events = rgb_clip
+        out = tmp_path / "out"
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as info:
+            main(["pipeline", str(d), str(events), "--scale", "1", "--times", "0.5",
+                  "--seed", "-1", "-o", str(out)])
+        assert info.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("missing", ["pred", "gt"])
     def test_metrics_missing_directory(self, tmp_path, capsys, missing):
         present = tmp_path / "present"

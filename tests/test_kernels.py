@@ -16,10 +16,10 @@ from evtpr.errors import InvalidInputError, NumericError
 from evtpr.kernels import (
     _DECODE_CHUNK,
     _STEB_CHUNK,
-    _corners,
     _gelu,
     _map_blocks,
     _softmax,
+    _taps,
     AttentionParams,
     ConvParams,
     LayerNormParams,
@@ -794,18 +794,25 @@ def naive_spatial_decode(feature, queries, decoder):
 
 class TestSpatialDecode:
     def test_corners_at_the_border(self):
-        # 4 x 4 grid. Top-left corner (0, 0): the low tap clamps from -1 to
-        # cell 0, the high tap stays cell 1, so each axis weights cells 0
-        # and 1 by 0.75 and 0.25 at offsets -0.5 and -1.5. Bottom-right
-        # corner (4, 4): both taps of each axis are cell 3, at offset 0.5.
-        rows, cols, dx, dy, weights = _corners(np.array([0.0, 4.0]),
-                                               np.array([0.0, 4.0]), 4, 4)
-        assert np.array_equal(rows, [[0, 3], [0, 3], [1, 3], [1, 3]])
-        assert np.array_equal(cols, [[0, 3], [1, 3], [0, 3], [1, 3]])
-        assert np.array_equal(dx, [[-0.5, 0.5], [-1.5, 0.5], [-0.5, 0.5], [-1.5, 0.5]])
-        assert np.array_equal(dy, [[-0.5, 0.5], [-0.5, 0.5], [-1.5, 0.5], [-1.5, 0.5]])
-        assert np.array_equal(weights, [[0.5625, 0.25], [0.1875, 0.25],
-                                        [0.1875, 0.25], [0.0625, 0.25]])
+        # One 4-cell axis. At q = 0 the low tap clamps from -1 to cell 0 and
+        # the high tap stays cell 1, at offsets -0.5 and -1.5, so the factors
+        # weight cells 0 and 1 by 0.75 and 0.25. At q = 4 both taps are
+        # cell 3, at offset 0.5.
+        taps, offsets, factors = _taps(np.array([0.0, 4.0]), 4)
+        assert np.array_equal(taps, [[0, 3], [1, 3]])
+        assert np.array_equal(offsets, [[-0.5, 0.5], [-1.5, 0.5]])
+        assert np.array_equal(factors, [[1.5, 0.5], [0.5, 0.5]])
+        # The blended weights of the four corners on a 4 x 4 grid: with a
+        # one-hot feature per cell and the decoder [I | 0], each output row
+        # is the query's weight on every cell.
+        feature = np.eye(16, dtype=np.float32).reshape(16, 4, 4)
+        decoder = MlpParams(weights=(np.eye(16, 18, dtype=np.float32),),
+                            biases=(np.zeros(16, np.float32),), activations=("none",))
+        out = spatial_decode(feature, np.array([[0.0, 0.0], [4.0, 4.0]]), 1.0, decoder)
+        top_left, bottom_right = np.zeros((2, 16), np.float32)
+        top_left[[0, 1, 4, 5]] = [0.5625, 0.1875, 0.1875, 0.0625]
+        bottom_right[15] = 1.0
+        assert np.array_equal(out, [top_left, bottom_right])
 
     def test_constant_field_invariance(self):
         rng = np.random.default_rng(26)
@@ -1001,6 +1008,13 @@ class TestPhaseDecode:
         for grid in (QueryGrid(8, 9, 2.0), QueryGrid(9, 8, 2.0)):
             with pytest.raises(InvalidInputError):
                 spatial_decode(feature, grid, 2.0, decoder)
+
+    def test_grid_scale_must_match_s(self):
+        rng = np.random.default_rng(51)
+        decoder = self.decoder(rng, 2)
+        feature = np.zeros((2, 4, 4), np.float32)
+        with pytest.raises(InvalidInputError):
+            spatial_decode(feature, QueryGrid(8, 8, 2.0), 4.0, decoder)
 
     @pytest.mark.parametrize("out_h,out_w", [(0, 8), (8, 0), (0, 0)])
     def test_empty_grid(self, out_h, out_w):
