@@ -297,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("plan", help="emit a sliding-window manifest")
-    p.add_argument("--frames", type=int, required=True)
+    p.add_argument("--frames", type=_int_at_least(0, "a non-negative integer"),
+                   required=True)
     p.add_argument("--nin", type=int, required=True)
     p.add_argument("--skip", type=int, required=True)
     p.add_argument("--stride", type=int, default=None)

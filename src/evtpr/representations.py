@@ -87,10 +87,14 @@ def build_voxel_grid(stream: EventStream, M: int, t0: float, t1: float) -> Voxel
         raise InvalidInputError("t0 must be less than t1")
     win = stream.window(t0, t1)
     p = stream.p[win]
-    tau = M * (stream.t[win] - float(t0)) / (t1 - t0) - 0.5
+    # in place, in the order of M * (t - t0) / (t1 - t0) - 0.5
+    tau = np.subtract(stream.t[win], float(t0))
+    tau *= M
+    tau /= t1 - t0
+    tau -= 0.5
     np.clip(tau, 0.0, M - 1.0, out=tau)
-    k = np.floor(tau).astype(np.int64)
-    frac = tau - k
+    k = tau.astype(np.int64)  # floor, as tau >= 0
+    frac = np.subtract(tau, k, out=tau)
     hw = stream.sensor_height * stream.sensor_width
     # k is non-decreasing on the time-sorted window, so the events with an
     # upper tap (k < M-1) are its first n_up

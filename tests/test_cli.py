@@ -100,6 +100,16 @@ class TestRepresentations:
         assert main(["voxelize", str(empty), "--bins", "3", "-o", str(out)]) == 0
         assert np.all(read_tensor(str(out)) == 0)
 
+    def test_voxelize_window_past_the_stream(self, events_file, tmp_path):
+        # a window reaching past the stream clamps to its events: every
+        # tau lies below bin 0's centre, so bin 0 holds the whole sum
+        out = tmp_path / "grid.tns"
+        assert main(["voxelize", str(events_file), "--bins", "3",
+                     "--t1", str(2 ** 70), "-o", str(out)]) == 0
+        grid, stream = read_tensor(str(out)), read_events(str(events_file))
+        assert len(stream) > 0 and grid[0].sum() == stream.p.sum()
+        assert not grid[1:].any()
+
     def test_tpr_granularity_table6(self, capsys):
         assert main(["tpr", "--L", "7", "--Mp", "9", "--r", "3",
                      "--half-window", "0.5s", "--print-granularity"]) == 0
@@ -539,6 +549,15 @@ class TestUsageErrors:
                   "--seed", "-1", "-o", str(out)])
         assert info.value.code == 2
         assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_frames(self, tmp_path, capsys):
+        out = tmp_path / "manifest.txt"
+        with pytest.raises(SystemExit) as info:
+            main(["plan", "--frames", "-10", "--nin", "4", "--skip", "1",
+                  "-o", str(out)])
+        assert info.value.code == 2
+        assert "--frames" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("missing", ["pred", "gt"])

@@ -78,6 +78,20 @@ class TestSimulateOrder:
         with pytest.raises(InvalidInputError, match="int64"):
             simulate_events(frames(2 ** 60), C=0.2)
 
+    @pytest.mark.parametrize("span", [2 ** 60 - 1, 2 ** 59 + 12_345, 10 ** 17 + 3])
+    def test_keys_near_the_top_of_int64(self, span):
+        # three changing frames on a 2x2 sensor: events all through the
+        # clip, so the largest keys, 2 * 4 * (t - t_begin) + ..., come
+        # within 1% of 2**63 at span 2**60 - 1
+        pixels = ([[0.05, 0.9], [0.5, 0.2]], [[0.9, 0.05], [0.1, 0.8]],
+                  [[0.3, 0.6], [0.95, 0.02]])
+        frames = [IntensityFrame(timestamp=t, pixels=np.array(px))
+                  for t, px in zip((-5, -5 + span // 2, span - 5), pixels)]
+        got = simulate_events(frames, C=0.1)
+        assert len(got) == 175 and got.t_begin == -5 and got.t_end == span - 5
+        assert int(got.t[-1]) + 5 > 0.99 * span
+        assert_same_stream(got, reference.simulate_events(frames, C=0.1))
+
 
 def integer_time_stream(t_end, w=4, h=3, per_t=3, seed=0):
     """per_t random events at every microsecond of [0, t_end]."""
