@@ -171,7 +171,7 @@ def cmd_pipeline(args) -> int:
     if not times:
         raise UsageError("--times must list at least one timestamp")
     config = PipelineConfig(n_in=len(frames), c_r=args.cr, c_t=args.ct, c_ts=args.cts,
-                            heads=args.heads, encoder_depth=args.encoder_depth)
+                            encoder_depth=args.encoder_depth)
     params = init_pipeline_params(config, args.seed)
     outputs, report = pipeline_forward(frames, stream, args.scale, times,
                                        config, params, threads=args.threads)
@@ -316,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cr", type=int, default=8)
     p.add_argument("--ct", type=int, default=16)
     p.add_argument("--cts", type=int, default=8)
-    p.add_argument("--heads", type=int, default=2)
     p.add_argument("--encoder-depth", type=int, default=2)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_pipeline)

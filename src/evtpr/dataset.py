@@ -192,8 +192,6 @@ def downsample_bicubic(frame: IntensityFrame, s: float) -> IntensityFrame:
     out_w = int(math.floor(w / s))
     if out_h < 1 or out_w < 1:
         raise InvalidInputError("output smaller than one pixel")
-    if s == 1.0:
-        return frame
     px = frame.pixels.astype(np.float64)
     px = _resample_axis(px, out_h, s)
     px = np.swapaxes(_resample_axis(np.swapaxes(px, 0, 1), out_w, s), 0, 1)

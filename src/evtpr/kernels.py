@@ -16,7 +16,9 @@ sub-pixel phases with no x2 tensor. The decoder runs one block body for
 query arrays and output grids: a block takes the taps of its rows and of
 its columns and broadcasts them into each query's four corners. A whole
 output grid (QueryGrid), at any scale, solves each axis once and decodes
-blocks of whole output rows; a query array solves its axes per block.
+blocks of whole output rows; a query array solves its axes per block. A
+QueryGrid holds only the grid's size; spatial_decode's s places its pixel
+centres.
 tests/reference.py keeps the float64-internal and straightforward
 originals, and the outputs agree with them to 1e-5.
 
@@ -33,6 +35,7 @@ another BLAS).
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -282,21 +285,23 @@ def _map_blocks(fn: Callable[[object], None], items: Sequence, threads: int) -> 
 # ---------------------------------------------------------------------------
 # core kernels
 
-def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-               eps: float = 1e-5) -> np.ndarray:
-    """Per-token normalization over the last axis; constant rows map to 0.
+# added to the variance in layer_norm
+_LN_EPS = 1e-5
+
+
+def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Per-token normalization over the last axis, (x - mean) /
+    sqrt(var + 1e-5) * gamma + beta; constant rows map to 0.
 
     Float32 throughout except the mean, which is accumulated in float64:
     that makes it exact for a constant row (a float32 mean of, say, five
     copies of 1/3 is not), so the row centres to exactly 0.
     """
-    if eps <= 0:
-        raise InvalidInputError("eps must be positive")
     x = _f32(x)
     out = x - x.mean(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
     var = np.einsum("...c,...c->...", out, out)[..., None]
     var /= x.shape[-1]
-    var += eps
+    var += _LN_EPS
     out /= np.sqrt(var, out=var)
     out *= gamma
     out += beta
@@ -636,22 +641,34 @@ def timestamp_head(t: float, fuse: ConvParams, params: TemporalEmbedParams) -> C
 # Queries per decode block. A block's temporaries are 4 * _DECODE_CHUNK rows
 # of the decoder's hidden width (1 MB at width 64), so peak memory does not
 # grow with the output size, and blocks that small are reused from the heap
-# rather than mapped (and page-faulted) afresh for every layer. 1024 rather
-# than 4096: decode per upscale-x8 clip took 1007 ms at 1024 against 1153 ms
-# at 4096 on a sub-pixel phase path since removed, and 1191 against 1286 ms
-# on the per-query path (medians of 10 clips, chunk sizes alternating in one
-# process; 2-core VM, one BLAS thread).
+# rather than mapped (and page-faulted) afresh for every layer. 1024 is the
+# best or tied of 256, 512, 1024 and 2048 pixels for this block body: one
+# grid decode took 528, 465, 482 and 864 ms at s = 8 on a 64 x 64 x 64
+# feature at 1 thread, 371, 281, 272 and 528 ms at 2 threads, and 96, 73, 66
+# and 75 ms at s = 2 on 128 x 128 at 2 threads (6 alternating calls each;
+# 2-core VM, one BLAS thread). Changing it moves the bits under some sgemm
+# kernels (spatial_decode's docstring).
 _DECODE_CHUNK = 1024
 
 
 @dataclass(frozen=True)
 class QueryGrid:
-    """The pixel centres of an out_h x out_w output grid at scale s, as
-    spatial_decode queries: output pixel (Y, X) is the query
-    ((X + 0.5) / s, (Y + 0.5) / s), in row-major order."""
+    """The pixel centres of an out_h x out_w output grid, as spatial_decode
+    queries: at spatial_decode's scale s, output pixel (Y, X) is the query
+    ((X + 0.5) / s, (Y + 0.5) / s), in row-major order. Both sizes must be
+    non-negative integers."""
     out_h: int
     out_w: int
-    s: float
+
+    def __post_init__(self):
+        for name in ("out_h", "out_w"):
+            try:
+                size = operator.index(getattr(self, name))
+            except TypeError:
+                size = -1
+            if size < 0:
+                raise InvalidInputError("%s must be a non-negative integer" % name)
+            object.__setattr__(self, name, size)
 
     def __len__(self) -> int:
         return self.out_h * self.out_w
@@ -677,8 +694,8 @@ def spatial_decode(feature: np.ndarray, queries, s: float,
                    decoder: MlpParams, threads: int = 1) -> np.ndarray:
     """Decode RGB at continuous (x, y) query points over a C x h x w grid.
 
-    `queries` is an N x 2 array of (x, y) points or a QueryGrid, whose s
-    must equal `s`.
+    `queries` is an N x 2 array of (x, y) points or a QueryGrid, whose
+    pixel centres are placed at scale `s`.
 
     Cell (i, j) has its center at (j + 0.5, i + 0.5); the grid's continuous
     extent is [0, w] x [0, h]. Per query the four nearest cells each decode
@@ -726,8 +743,6 @@ def spatial_decode(feature: np.ndarray, queries, s: float,
     if decoder.in_dim != c + 2:
         raise InvalidInputError("decoder input dim must be feature channels + 2")
     if isinstance(queries, QueryGrid):
-        if queries.s != s:
-            raise InvalidInputError("query grid scale differs from s")
         qx = ((np.arange(queries.out_w) + 0.5) / s)[None, :]
         qy = ((np.arange(queries.out_h) + 0.5) / s)[:, None]
     else:

@@ -210,7 +210,7 @@ def pipeline_forward(frames: Sequence[IntensityFrame], stream: EventStream,
     except (MemoryError, ValueError):  # ValueError: numpy cannot even size it
         raise InvalidInputError("scale %r gives a %dx%d output, too large for memory"
                                 % (s, out_h, out_w)) from None
-    queries = QueryGrid(out_h, out_w, s)
+    queries = QueryGrid(out_h, out_w)
 
     report = RunReport()
 

@@ -16,8 +16,9 @@ fault in production's reshape/transpose geometry shows here.
 `downsample_half` (a stack of the four stride-2 taps and one einsum) and
 `upsample_double` (an explicit nearest x2 tensor, zero-padded, and nine
 per-tap einsums) are the straightforward resampling convolutions, kept
-unchanged for the same purpose. The cyclic shift is imported from
-production; it has not changed.
+unchanged for the same purpose. `cyclic_shift` is a gather of modular row
+and column indices, not production's `np.roll`, so the reference checks the
+shift geometry too.
 The event path (`simulate_events`, `polarity_integral`,
 `reconstruct_log_intensity`, `build_voxel_grid`, `build_tpr`) is kept the
 same way: a Python loop over every threshold crossing with a tuple sort,
@@ -44,7 +45,6 @@ from evtpr.kernels import (
     RegionalParams,
     StebParams,
     TemporalEmbedParams,
-    cyclic_shift,
 )
 from evtpr.events import DEFAULT_EPS, EventStream, IntensityFrame, log_view
 from evtpr.representations import TemporalPyramid, VoxelGrid
@@ -173,6 +173,15 @@ def upsample_double(x: np.ndarray, params: ConvParams) -> np.ndarray:
             out += np.einsum("oc,...chw->...ohw", w[:, :, di, dj], sl)
     out += b[:, None, None]
     return out
+
+
+def cyclic_shift(x: np.ndarray, offset: int) -> np.ndarray:
+    """Circular shift by (offset, offset) over the two trailing axes:
+    out[..., (i + offset) % H, (j + offset) % W] = x[..., i, j]."""
+    h, w = x.shape[-2:]
+    rows = (np.arange(h) - offset) % h
+    cols = (np.arange(w) - offset) % w
+    return x[..., rows[:, None], cols[None, :]]
 
 
 def window_partition(x: np.ndarray, M: int) -> np.ndarray:

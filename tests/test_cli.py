@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from evtpr import simulate_events
+from evtpr import IntensityFrame, simulate_events
 from evtpr.cli import main
 from evtpr.dataset import parse_manifest
 from evtpr.io_formats import read_events, read_frame, read_tensor, write_frame
@@ -25,7 +25,6 @@ def write_clip(tmp_path, frames, name="clip"):
 
 def rgb_ramp_clip(n=4, h=16, w=16):
     frames = make_ramp_clip(h=h, w=w, n_frames=n)
-    from evtpr import IntensityFrame
     return [IntensityFrame(timestamp=f.timestamp,
                            pixels=np.repeat(f.pixels[..., None], 3, axis=2))
             for f in frames]
@@ -33,7 +32,6 @@ def rgb_ramp_clip(n=4, h=16, w=16):
 
 class TestSimulate:
     def test_constant_clip_gives_empty_file(self, tmp_path):
-        from evtpr import IntensityFrame
         frames = [IntensityFrame(timestamp=i * 100, pixels=np.full((8, 8), 0.5))
                   for i in range(3)]
         d = write_clip(tmp_path, frames)
@@ -45,7 +43,6 @@ class TestSimulate:
     def test_matches_library_simulation(self, tmp_path):
         frames = make_ramp_clip(h=8, w=8, n_frames=6)
         # quantize to what the pixmap round trip preserves
-        from evtpr import IntensityFrame
         frames = [IntensityFrame(timestamp=f.timestamp,
                                  pixels=np.rint(f.pixels * 255) / 255.0)
                   for f in frames]
@@ -138,7 +135,6 @@ class TestReconstruct:
     def test_round_trip_error_bound(self, tmp_path):
         C = 0.2
         frames = make_ramp_clip(h=8, w=8, n_frames=6)
-        from evtpr import IntensityFrame
         frames = [IntensityFrame(timestamp=f.timestamp,
                                  pixels=np.rint(f.pixels * 255) / 255.0)
                   for f in frames]
@@ -437,6 +433,32 @@ class TestMoreErrorCodes:
         assert main(["pipeline", str(small), str(events), "--scale", "1",
                      "--times", "0.5", "-o", str(tmp_path / "out")]) == 4
 
+    @pytest.mark.parametrize("fault,message", [
+        ("luma", "pipeline inputs must be RGB frames"),
+        ("sizes", "all frames must share dimensions"),
+        ("timestamps", "frame timestamps must be strictly increasing"),
+    ], ids=["luma", "sizes", "timestamps"])
+    def test_pipeline_clip_contract(self, rgb_clip, tmp_path, capsys, fault, message):
+        # events from the 16^2 RGB clip; the clip handed to pipeline breaks
+        # one of its frame checks
+        _, events = rgb_clip
+        frames = rgb_ramp_clip(n=4, h=16, w=16)
+        if fault == "luma":
+            frames = [IntensityFrame(timestamp=f.timestamp, pixels=f.pixels[..., 0])
+                      for f in frames]
+        elif fault == "sizes":
+            frames[2] = rgb_ramp_clip(n=4, h=32, w=32)[2]
+        else:
+            frames[2] = IntensityFrame(timestamp=frames[1].timestamp,
+                                       pixels=frames[2].pixels)
+        d = write_clip(tmp_path, frames, name="bad")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["pipeline", str(d), str(events), "--scale", "1",
+                     "--times", "0.5", "-o", str(out)]) == 4
+        assert_one_line_error(capsys, "contract violation: " + message)
+        assert not out.exists()
+
 
 def assert_one_line_error(capsys, prefix):
     err = capsys.readouterr().err
@@ -454,8 +476,6 @@ class TestNonFiniteFlags:
         ["pipeline", "{clip}", "{events}", "--scale", "1e8", "--times", "0.5"],
         # a query array numpy can size but not allocate
         ["pipeline", "{clip}", "{events}", "--scale", "1e6", "--times", "0.5"],
-        ["pipeline", "{clip}", "{events}", "--scale", "2", "--times", "0.5",
-         "--heads", "0"],
         ["simulate", "{clip}", "--threshold", "nan"],
         ["simulate", "{clip}", "--threshold", "0.2", "--eps", "nan"],
         ["simulate", "{clip}", "--threshold", "0.2", "--eps", "inf"],
@@ -469,7 +489,6 @@ class TestNonFiniteFlags:
         ["metrics", "{clip}", "{clip}", "--border-crop", "-1"],
     ], ids=["pipeline-scale-nan", "pipeline-scale-inf", "pipeline-scale-1e308",
             "pipeline-scale-1e300", "pipeline-scale-1e8", "pipeline-scale-1e6",
-            "pipeline-heads-0",
             "simulate-threshold-nan", "simulate-eps-nan",
             "simulate-eps-inf", "reconstruct-threshold-nan",
             "reconstruct-threshold-inf", "reconstruct-eps-nan",

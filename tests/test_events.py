@@ -128,6 +128,8 @@ class TestSimulateEvents:
             simulate_events([frame_of(0.2, t=0), frame_of(0.4, t=10)], C=0.0)
         with pytest.raises(InvalidInputError):
             simulate_events([frame_of(0.2, t=0)], C=0.1)
+        with pytest.raises(InvalidInputError, match="all frames must share dimensions"):
+            simulate_events([frame_of(0.2, t=0), frame_of(0.4, h=4, w=8, t=10)], C=0.1)
 
     def test_stream_is_sorted_and_in_bounds(self):
         frames = make_ramp_clip(h=8, w=8, n_frames=6)

@@ -179,9 +179,8 @@ class TestLayerNorm:
 
     def test_known_four_vector(self):
         x = np.array([[1.0, 2.0, 3.0, 4.0]], np.float32)
-        out = layer_norm(x, np.ones(4, np.float32), np.zeros(4, np.float32),
-                         eps=1e-12)
-        std = math.sqrt(1.25)
+        out = layer_norm(x, np.ones(4, np.float32), np.zeros(4, np.float32))
+        std = math.sqrt(1.25 + 1e-5)
         expected = [(v - 2.5) / std for v in (1, 2, 3, 4)]
         assert np.allclose(out[0], expected, atol=1e-6)
 
@@ -971,7 +970,7 @@ class TestPhaseDecode:
         decoder = self.decoder(rng, c)
         feature = rng.standard_normal((c, h, w)).astype(np.float32)
         out_h, out_w = int(s * h), int(s * w)
-        grid = QueryGrid(out_h, out_w, float(s))
+        grid = QueryGrid(out_h, out_w)
         out = spatial_decode(feature, grid, float(s), decoder)
         ref = spatial_decode(feature, grid_queries(out_h, out_w, s), float(s), decoder)
         assert out.shape == ref.shape == (out_h * out_w, 3)
@@ -985,7 +984,7 @@ class TestPhaseDecode:
         c, h, w = 8, 64, 64
         decoder = self.decoder(rng, c, hidden=64)
         feature = rng.standard_normal((c, h, w)).astype(np.float32)
-        out = spatial_decode(feature, QueryGrid(s * h, s * w, float(s)), float(s), decoder)
+        out = spatial_decode(feature, QueryGrid(s * h, s * w), float(s), decoder)
         ref = spatial_decode(feature, grid_queries(s * h, s * w, s), float(s), decoder)
         assert np.array_equal(out, ref)
 
@@ -995,7 +994,7 @@ class TestPhaseDecode:
         c, h, w, s = 3, 2, 275, 4
         decoder = self.decoder(rng, c)
         feature = rng.standard_normal((c, h, w)).astype(np.float32)
-        out = spatial_decode(feature, QueryGrid(s * h, s * w, float(s)), float(s), decoder)
+        out = spatial_decode(feature, QueryGrid(s * h, s * w), float(s), decoder)
         ref = spatial_decode(feature, grid_queries(s * h, s * w, s), float(s), decoder)
         assert np.abs(out - ref).max() <= 1e-6
 
@@ -1005,23 +1004,21 @@ class TestPhaseDecode:
         decoder = self.decoder(rng, c)
         feature = np.zeros((c, h, w), np.float32)
         # the last pixel centres of 9 columns at s = 2 lie at x = 4.25
-        for grid in (QueryGrid(8, 9, 2.0), QueryGrid(9, 8, 2.0)):
+        for grid in (QueryGrid(8, 9), QueryGrid(9, 8)):
             with pytest.raises(InvalidInputError):
                 spatial_decode(feature, grid, 2.0, decoder)
 
-    def test_grid_scale_must_match_s(self):
-        rng = np.random.default_rng(51)
-        decoder = self.decoder(rng, 2)
-        feature = np.zeros((2, 4, 4), np.float32)
-        with pytest.raises(InvalidInputError):
-            spatial_decode(feature, QueryGrid(8, 8, 2.0), 4.0, decoder)
+    @pytest.mark.parametrize("out_h,out_w", [(-1, 4), (4, -2), (2.5, 4)])
+    def test_malformed_grid_rejected(self, out_h, out_w):
+        with pytest.raises(InvalidInputError, match="non-negative integer"):
+            QueryGrid(out_h, out_w)
 
     @pytest.mark.parametrize("out_h,out_w", [(0, 8), (8, 0), (0, 0)])
     def test_empty_grid(self, out_h, out_w):
         rng = np.random.default_rng(50)
         decoder = self.decoder(rng, 2)
         feature = np.zeros((2, 4, 4), np.float32)
-        out = spatial_decode(feature, QueryGrid(out_h, out_w, 2.0), 2.0, decoder)
+        out = spatial_decode(feature, QueryGrid(out_h, out_w), 2.0, decoder)
         assert out.shape == (0, 3)
 
     def test_matches_geometric_oracle(self):
@@ -1029,7 +1026,7 @@ class TestPhaseDecode:
         c, h, w, s = 3, 3, 4, 3
         decoder = self.decoder(rng, c, hidden=6)
         feature = rng.standard_normal((c, h, w)).astype(np.float32)
-        out = spatial_decode(feature, QueryGrid(s * h, s * w, float(s)), float(s), decoder)
+        out = spatial_decode(feature, QueryGrid(s * h, s * w), float(s), decoder)
         q = grid_queries(s * h, s * w, s)
         # the oracle knows no clamping: pixels away from the outer half cell
         inner = np.all((q > 0.5) & (q < (w - 0.5, h - 0.5)), axis=1)
@@ -1042,7 +1039,7 @@ class TestPhaseDecode:
         c, h, w, s = 6, 9, 11, 8
         decoder = self.decoder(rng, c)
         feature = rng.standard_normal((c, h, w)).astype(np.float32)
-        grid = QueryGrid(s * h, s * w, float(s))
+        grid = QueryGrid(s * h, s * w)
         outs = [spatial_decode(feature, grid, float(s), decoder, threads=t)
                 for t in (1, 2, 3)]
         assert np.array_equal(outs[0], outs[1])
@@ -1055,7 +1052,7 @@ class TestPhaseDecode:
         feature = rng.standard_normal((c, h, w)).astype(np.float32)
         feature[1, 3, 2] = np.nan  # an interior cell, away from the border
         with pytest.raises(NumericError):
-            spatial_decode(feature, QueryGrid(4 * h, 4 * w, 4.0), 4.0, decoder)
+            spatial_decode(feature, QueryGrid(4 * h, 4 * w), 4.0, decoder)
 
     def test_peak_memory_bounded_at_large_output(self):
         # as TestSpatialDecode's test of the same name, through the grid
@@ -1065,7 +1062,7 @@ class TestPhaseDecode:
         feature = rng.standard_normal((64, 64, 64)).astype(np.float32)
         tracemalloc.start()
         try:
-            spatial_decode(feature, QueryGrid(512, 512, 8.0), 8.0, decoder)
+            spatial_decode(feature, QueryGrid(512, 512), 8.0, decoder)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -199,6 +199,28 @@ class TestPipeline:
         with pytest.raises(InvalidInputError, match="sensor size"):
             pipeline_forward(frames, stream, 1.0, [0.5], config, params)
 
+    @pytest.mark.parametrize("fault,message", [
+        ("count", "frame count must equal config.n_in"),
+        ("luma", "pipeline inputs must be RGB frames"),
+        ("sizes", "all frames must share dimensions"),
+        ("timestamps", "frame timestamps must be strictly increasing"),
+    ])
+    def test_frame_contract(self, fault, message):
+        frames = toy_clip()
+        stream = simulate_events(frames, C=0.2)
+        config = toy_config(n_in=3 if fault == "count" else 4)
+        params = init_pipeline_params(config, 0)
+        if fault == "luma":
+            frames = [IntensityFrame(timestamp=f.timestamp, pixels=f.pixels[..., 0])
+                      for f in frames]
+        elif fault == "sizes":
+            frames[2] = toy_clip(h=32, w=32)[2]
+        elif fault == "timestamps":
+            frames[2] = IntensityFrame(timestamp=frames[1].timestamp,
+                                       pixels=frames[2].pixels)
+        with pytest.raises(InvalidInputError, match=message):
+            pipeline_forward(frames, stream, 1.0, [0.5], config, params)
+
 
 class TestBrightOutputDigest:
     """SHA-256 of the 8-bit frames, as the CLI writes them, on the
