@@ -23,7 +23,7 @@ import numpy as np
 from . import dataset, io_formats, metrics, representations
 from .errors import FormatError, InvalidInputError, NumericError
 from .events import (
-    DEFAULT_EPS,
+    LOG_EPS,
     IntensityFrame,
     reconstruct_log_intensity,
     simulate_events,
@@ -103,7 +103,7 @@ def _load_clip(frames_dir: str, timestamps: str | None) -> list[IntensityFrame]:
 
 def cmd_simulate(args) -> int:
     frames = _load_clip(args.frames_dir, args.timestamps)
-    stream = simulate_events(frames, C=args.threshold, eps=args.eps)
+    stream = simulate_events(frames, C=args.threshold)
     io_formats.write_events(stream, args.output)
     print("wrote %d events to %s" % (len(stream), args.output))
     return EXIT_OK
@@ -148,9 +148,8 @@ def cmd_reconstruct(args) -> int:
     stream = io_formats.read_events(args.events)
     if args.at > stream.t_end or args.frame_time < stream.t_begin:
         raise InvalidInputError("event stream does not cover (frame time, t]")
-    log_field = reconstruct_log_intensity(frame, stream, args.at,
-                                          C=args.threshold, eps=args.eps)
-    intensity = np.clip(np.exp(log_field) - args.eps, 0.0, 1.0)
+    log_field = reconstruct_log_intensity(frame, stream, args.at, C=args.threshold)
+    intensity = np.clip(np.exp(log_field) - LOG_EPS, 0.0, 1.0)
     io_formats.write_frame(intensity, args.output)
     print("reconstructed frame at t=%d -> %s" % (args.at, args.output))
     return EXIT_OK
@@ -170,8 +169,8 @@ def cmd_pipeline(args) -> int:
     times = [float(_parse_rational(tok)) for tok in args.times.split(",") if tok]
     if not times:
         raise UsageError("--times must list at least one timestamp")
-    config = PipelineConfig(n_in=len(frames), c_r=args.cr, c_t=args.ct, c_ts=args.cts,
-                            encoder_depth=args.encoder_depth)
+    # one fixed model: its 4x4 windows and depth 2 need H and W divisible by 16
+    config = PipelineConfig(n_in=len(frames), c_r=8, c_t=16, c_ts=8, encoder_depth=2)
     params = init_pipeline_params(config, args.seed)
     outputs, report = pipeline_forward(frames, stream, args.scale, times,
                                        config, params, threads=args.threads)
@@ -260,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate events from a frame clip")
     p.add_argument("frames_dir")
     p.add_argument("--threshold", type=float, required=True)
-    p.add_argument("--eps", type=float, default=DEFAULT_EPS)
     p.add_argument("--timestamps", default=None)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_simulate)
@@ -292,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frame-time", type=int, required=True)
     p.add_argument("--at", type=int, required=True)
     p.add_argument("--threshold", type=float, required=True)
-    p.add_argument("--eps", type=float, default=DEFAULT_EPS)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_reconstruct)
 
@@ -313,10 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated normalized timestamps in [0,1]")
     p.add_argument("--seed", type=_int_at_least(0, "a non-negative integer"), default=0)
     p.add_argument("--timestamps", default=None)
-    p.add_argument("--cr", type=int, default=8)
-    p.add_argument("--ct", type=int, default=16)
-    p.add_argument("--cts", type=int, default=8)
-    p.add_argument("--encoder-depth", type=int, default=2)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_pipeline)
 

@@ -44,6 +44,23 @@ class CropPlan:
     lr_rect: tuple[int, int, int, int]
 
 
+def _window_size(n_in: int, skip: int) -> int:
+    """W = (N_in - 1)*(S + 1) + 1, for N_in >= 2 and S >= 0."""
+    if n_in < 2:
+        raise InvalidInputError("n_in must be >= 2")
+    if skip < 0:
+        raise InvalidInputError("skip must be >= 0")
+    return (n_in - 1) * (skip + 1) + 1
+
+
+def _window_plan(start: int, n_in: int, skip: int) -> WindowPlan:
+    """The window from clip frame `start`: inputs every S + 1 frames, GTs all W."""
+    w = _window_size(n_in, skip)
+    return WindowPlan(start=start, window_size=w, n_in=n_in, skip=skip,
+                      input_indices=tuple(range(1, w + 1, skip + 1)),
+                      gt_indices=tuple(range(1, w + 1)))
+
+
 def plan_windows(total_frames: int, n_in: int, skip: int,
                  stride: Optional[int] = None) -> list[WindowPlan]:
     """All windows starting at 1, 1+stride, ... that fit in the clip.
@@ -51,29 +68,13 @@ def plan_windows(total_frames: int, n_in: int, skip: int,
     Returns an empty list (not an error) when the clip is shorter than W.
     Default stride is W (non-overlapping windows).
     """
-    if n_in < 2:
-        raise InvalidInputError("n_in must be >= 2")
-    if skip < 0:
-        raise InvalidInputError("skip must be >= 0")
-    w = (n_in - 1) * (skip + 1) + 1
+    w = _window_size(n_in, skip)
     if stride is None:
         stride = w
     if stride < 1:
         raise InvalidInputError("stride must be >= 1")
-    plans = []
-    start = 1
-    while start + w - 1 <= total_frames:
-        inputs = tuple(1 + k * (skip + 1) for k in range(n_in))
-        plans.append(WindowPlan(
-            start=start,
-            window_size=w,
-            n_in=n_in,
-            skip=skip,
-            input_indices=inputs,
-            gt_indices=tuple(range(1, w + 1)),
-        ))
-        start += stride
-    return plans
+    return [_window_plan(start, n_in, skip)
+            for start in range(1, total_frames - w + 2, stride)]
 
 
 def select_gt_frames(plan: WindowPlan, count: int,
@@ -137,6 +138,8 @@ def format_manifest(plans: Sequence[WindowPlan]) -> str:
 
 
 def parse_manifest(text: str) -> list[WindowPlan]:
+    """Plans from `format_manifest` text. A malformed line, or one whose W,
+    inputs or GTs differ from plan_windows' for its N_in and S, is an error."""
     plans = []
     for line in text.splitlines():
         line = line.strip()
@@ -151,8 +154,12 @@ def parse_manifest(text: str) -> list[WindowPlan]:
             gts = tuple(int(v) for v in fields[5].removeprefix("gts=").split(","))
         except ValueError:
             raise InvalidInputError("non-integer manifest field: %r" % line) from None
-        plans.append(WindowPlan(start=start, window_size=w, n_in=n_in,
-                                skip=skip, input_indices=inputs, gt_indices=gts))
+        plan = WindowPlan(start=start, window_size=w, n_in=n_in, skip=skip,
+                          input_indices=inputs, gt_indices=gts)
+        # W against the line's own GT count first: a short line builds no huge plan
+        if _window_size(n_in, skip) != len(gts) or plan != _window_plan(start, n_in, skip):
+            raise InvalidInputError("manifest line contradicts its N_in and S: %r" % line)
+        plans.append(plan)
     return plans
 
 

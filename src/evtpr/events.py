@@ -33,7 +33,8 @@ import numpy as np
 
 from .errors import InvalidInputError
 
-DEFAULT_EPS = 1e-3
+# the offset of the log-intensity model ln(I + LOG_EPS)
+LOG_EPS = 1e-3
 
 # absolute slack when deciding whether the log signal reaches the next
 # threshold level; log values are O(1), so this is far below one event
@@ -172,21 +173,30 @@ class IntensityFrame:
         return 1 if self.pixels.ndim == 2 else 3
 
 
-def log_view(frame: IntensityFrame, eps: float = DEFAULT_EPS) -> np.ndarray:
-    """ln(luma + eps) for every pixel; RGB frames go through the BT.601 luma."""
-    if not 0 < eps < math.inf:
-        raise InvalidInputError("eps must be positive and finite")
+def log_view(frame: IntensityFrame) -> np.ndarray:
+    """ln(luma + LOG_EPS) for every pixel; RGB frames go through the BT.601 luma."""
     px = frame.pixels
     if px.ndim == 3:
         from .metrics import rgb_to_y
         px = rgb_to_y(px)
     if not np.all(np.isfinite(px)):
         raise InvalidInputError("pixel values must be finite")
-    return np.log(px.astype(np.float64) + eps)
+    return np.log(px.astype(np.float64) + LOG_EPS)
 
 
-def simulate_events(frames: Sequence[IntensityFrame], C: float,
-                    eps: float = DEFAULT_EPS) -> EventStream:
+def check_clip(frames: Sequence[IntensityFrame]) -> tuple[int, int, list[int]]:
+    """(H, W, timestamps) of a non-empty clip; InvalidInputError unless its
+    frames share one size and its timestamps strictly increase."""
+    h, w = frames[0].height, frames[0].width
+    if any((f.height, f.width) != (h, w) for f in frames):
+        raise InvalidInputError("all frames must share dimensions")
+    ts = [f.timestamp for f in frames]
+    if any(b <= a for a, b in zip(ts, ts[1:])):
+        raise InvalidInputError("frame timestamps must be strictly increasing")
+    return h, w, ts
+
+
+def simulate_events(frames: Sequence[IntensityFrame], C: float) -> EventStream:
     """Generate events from frames by linear threshold crossings in log space.
 
     The per-pixel log-intensity signal is linearly interpolated between frame
@@ -209,19 +219,13 @@ def simulate_events(frames: Sequence[IntensityFrame], C: float,
         raise InvalidInputError("need at least two frames")
     if not 0 < C < math.inf:
         raise InvalidInputError("contrast threshold C must be positive and finite")
-    h, w = frames[0].height, frames[0].width
-    for f in frames:
-        if f.height != h or f.width != w:
-            raise InvalidInputError("all frames must share dimensions")
-    ts = [f.timestamp for f in frames]
-    if any(b <= a for a, b in zip(ts, ts[1:])):
-        raise InvalidInputError("frame timestamps must be strictly increasing")
+    h, w, ts = check_clip(frames)
     t_begin, span, hw = int(ts[0]), int(ts[-1]) - int(ts[0]), h * w
     if 2 * hw * (span + 1) > 2 ** 63:
         raise InvalidInputError("a %d us clip on %dx%d pixels overflows the int64 "
                                 "event sort key" % (span, w, h))
 
-    logs = [log_view(f, eps).ravel() for f in frames]
+    logs = [log_view(f).ravel() for f in frames]
     ref = logs[0].copy()
 
     keys = []  # per segment: the packed sort key of each of its events
@@ -299,8 +303,7 @@ def polarity_integral(stream: EventStream, x: int, y: int,
 
 
 def reconstruct_log_intensity(frame: IntensityFrame, stream: EventStream,
-                              t: int, C: float,
-                              eps: float = DEFAULT_EPS) -> np.ndarray:
+                              t: int, C: float) -> np.ndarray:
     """Log-intensity field at time t from a keyframe plus integrated events.
 
     output(x, y) = log_view(frame)(x, y) + C * sum of p over (frame.timestamp, t].
@@ -311,7 +314,7 @@ def reconstruct_log_intensity(frame: IntensityFrame, stream: EventStream,
         raise InvalidInputError("backward integration is not supported (t < frame time)")
     if (frame.height, frame.width) != (stream.sensor_height, stream.sensor_width):
         raise InvalidInputError("frame size differs from the event sensor size")
-    base = log_view(frame, eps)
+    base = log_view(frame)
     win = stream.window(frame.timestamp, t, lo_open=True)
     counts = np.bincount(stream.pixel[win], weights=stream.p[win], minlength=base.size)
     return base + C * counts.reshape(base.shape)

@@ -195,8 +195,8 @@ class PipelineConfig:
         step = self.window_size * 2 ** self.encoder_depth
         if h % step or w % step:
             raise InvalidInputError(
-                "working resolution %dx%d must be divisible by window*2^depth = %d"
-                % (h, w, step))
+                "working resolution %dx%d must be divisible by window*2^depth = %d*2^%d"
+                % (h, w, self.window_size, self.encoder_depth))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import blas
 from .errors import InvalidInputError
-from .events import EventStream, IntensityFrame
+from .events import EventStream, IntensityFrame, check_clip
 from .kernels import (
     AttentionParams,
     ConvParams,
@@ -187,22 +187,16 @@ def pipeline_forward(frames: Sequence[IntensityFrame], stream: EventStream,
     times = [float(t) for t in times]
     if not all(0.0 <= t <= 1.0 for t in times):
         raise InvalidInputError("all times must lie in [0, 1]")
-    h, w = frames[0].height, frames[0].width
+    h, w, ts = check_clip(frames)
     if not math.isfinite(s * max(h, w)):
         raise InvalidInputError("scale %r overflows the output size" % s)
     out_h = int(math.floor(s * h + 1e-9))
     out_w = int(math.floor(s * w + 1e-9))
     config.validate_spatial(h, w)
-    for f in frames:
-        if f.channels != 3:
-            raise InvalidInputError("pipeline inputs must be RGB frames")
-        if (f.height, f.width) != (h, w):
-            raise InvalidInputError("all frames must share dimensions")
+    if any(f.channels != 3 for f in frames):
+        raise InvalidInputError("pipeline inputs must be RGB frames")
     if (stream.sensor_height, stream.sensor_width) != (h, w):
         raise InvalidInputError("frame size differs from the event sensor size")
-    ts = [f.timestamp for f in frames]
-    if any(b <= a for a, b in zip(ts, ts[1:])):
-        raise InvalidInputError("frame timestamps must be strictly increasing")
     # allocated before any voxel or holistic work, so an output too large
     # for memory fails at once
     try:

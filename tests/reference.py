@@ -46,7 +46,7 @@ from evtpr.kernels import (
     StebParams,
     TemporalEmbedParams,
 )
-from evtpr.events import DEFAULT_EPS, EventStream, IntensityFrame, log_view
+from evtpr.events import EventStream, IntensityFrame, log_view
 from evtpr.representations import TemporalPyramid, VoxelGrid
 
 # absolute slack when deciding whether the log signal reaches the next
@@ -359,8 +359,7 @@ def spatial_decode(feature: np.ndarray, queries: np.ndarray, s: float,
     return out
 
 
-def simulate_events(frames: Sequence[IntensityFrame], C: float,
-                    eps: float = DEFAULT_EPS) -> EventStream:
+def simulate_events(frames: Sequence[IntensityFrame], C: float) -> EventStream:
     """Generate events from frames by linear threshold crossings in log space.
 
     The per-pixel log-intensity signal is linearly interpolated between frame
@@ -382,7 +381,7 @@ def simulate_events(frames: Sequence[IntensityFrame], C: float,
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise InvalidInputError("frame timestamps must be strictly increasing")
 
-    logs = [log_view(f, eps) for f in frames]
+    logs = [log_view(f) for f in frames]
     ref = logs[0].copy()
 
     rec = []  # (t_us, pixel_index, -p, x, y, p) for canonical sorting
@@ -427,8 +426,7 @@ def polarity_integral(stream: EventStream, x: int, y: int,
 
 
 def reconstruct_log_intensity(frame: IntensityFrame, stream: EventStream,
-                              t: int, C: float,
-                              eps: float = DEFAULT_EPS) -> np.ndarray:
+                              t: int, C: float) -> np.ndarray:
     """Log-intensity field at time t from a keyframe plus integrated events.
 
     output(x, y) = log_view(frame)(x, y) + C * sum of p over (frame.timestamp, t].
@@ -437,7 +435,7 @@ def reconstruct_log_intensity(frame: IntensityFrame, stream: EventStream,
         raise InvalidInputError("contrast threshold C must be positive")
     if t < frame.timestamp:
         raise InvalidInputError("backward integration is not supported (t < frame time)")
-    base = log_view(frame, eps)
+    base = log_view(frame)
     counts = np.zeros(base.shape, np.int64)
     mask = (stream.t > frame.timestamp) & (stream.t <= t)
     np.add.at(counts, (stream.y[mask], stream.x[mask]), stream.p[mask])

@@ -112,6 +112,13 @@ class TestRepresentations:
                      "--half-window", "0.5s", "--print-granularity"]) == 0
         assert capsys.readouterr().out.strip() == "1/19683 s"
 
+    @pytest.mark.parametrize("half_window", ["1", "1s"])
+    def test_tpr_half_window_is_seconds(self, half_window, capsys):
+        # a bare integer is seconds here, not microseconds
+        assert main(["tpr", "--L", "3", "--Mp", "2", "--r", "3",
+                     "--half-window", half_window, "--print-granularity"]) == 0
+        assert capsys.readouterr().out.strip() == "1/27 s"
+
     def test_tpr_dims(self, events_file, tmp_path, capsys):
         out = tmp_path / "tpr.tns"
         assert main(["tpr", str(events_file), "--L", "7", "--Mp", "2",
@@ -393,7 +400,8 @@ class TestMoreErrorCodes:
         assert "EVTPR_THREADS" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--window", "--bins", "--levels", "--moments",
-                                      "--ratio"])
+                                      "--ratio", "--cr", "--ct", "--cts",
+                                      "--encoder-depth"])
     def test_fixed_pipeline_sizes_are_not_flags(self, flag, rgb_clip, tmp_path, capsys):
         d, events = rgb_clip
         out = tmp_path / "out"
@@ -402,6 +410,21 @@ class TestMoreErrorCodes:
                   flag, "3", "-o", str(out)])
         assert info.value.code == 2
         assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "{clip}", "--threshold", "0.2"],
+        ["reconstruct", "{frame}", "{events}", "--frame-time", "0", "--at", "2000",
+         "--threshold", "0.2"],
+    ], ids=["simulate", "reconstruct"])
+    def test_log_offset_is_not_a_flag(self, argv, rgb_clip, tmp_path, capsys):
+        d, events = rgb_clip
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main([a.format(clip=d, events=events, frame=d / "frame_000.ppm")
+                  for a in argv] + ["--eps", "0.01", "-o", str(out)])
+        assert info.value.code == 2
+        assert "--eps" in capsys.readouterr().err
         assert not out.exists()
 
     def test_threads_flag_overrides_env(self, tmp_path, monkeypatch):
@@ -477,21 +500,16 @@ class TestNonFiniteFlags:
         # a query array numpy can size but not allocate
         ["pipeline", "{clip}", "{events}", "--scale", "1e6", "--times", "0.5"],
         ["simulate", "{clip}", "--threshold", "nan"],
-        ["simulate", "{clip}", "--threshold", "0.2", "--eps", "nan"],
-        ["simulate", "{clip}", "--threshold", "0.2", "--eps", "inf"],
         ["reconstruct", "{frame}", "{events}", "--frame-time", "0", "--at",
          "2000", "--threshold", "nan"],
         ["reconstruct", "{frame}", "{events}", "--frame-time", "0", "--at",
          "2000", "--threshold", "inf"],
-        ["reconstruct", "{frame}", "{events}", "--frame-time", "0", "--at",
-         "2000", "--threshold", "0.2", "--eps", "nan"],
         ["bench", "{events}", "--repr", "tpr", "--ratio", "nan"],
         ["metrics", "{clip}", "{clip}", "--border-crop", "-1"],
     ], ids=["pipeline-scale-nan", "pipeline-scale-inf", "pipeline-scale-1e308",
             "pipeline-scale-1e300", "pipeline-scale-1e8", "pipeline-scale-1e6",
-            "simulate-threshold-nan", "simulate-eps-nan",
-            "simulate-eps-inf", "reconstruct-threshold-nan",
-            "reconstruct-threshold-inf", "reconstruct-eps-nan",
+            "simulate-threshold-nan", "reconstruct-threshold-nan",
+            "reconstruct-threshold-inf",
             "bench-ratio-nan", "metrics-border-crop-negative"])
     def test_exits_4_without_output(self, rgb_clip, tmp_path, capsys, argv):
         d, events = rgb_clip

@@ -80,9 +80,17 @@ class TestPlanWindows:
                                       "1 2 3 4 inputs=1,a gts=1",
                                       "1 2 3 4 inputs=1 gts="])
     def test_manifest_non_integer_field(self, line):
-        text = "1 7 3 2 inputs=1,4,7 gts=1\n" + line + "\n"
+        text = "1 7 3 2 inputs=1,4,7 gts=1,2,3,4,5,6,7\n" + line + "\n"
         with pytest.raises(InvalidInputError, match=line):
             parse_manifest(text)
+
+    @pytest.mark.parametrize("line", ["1 99 4 1 inputs=5,6 gts=1,2",
+                                      "1 7 4 1 inputs=1,3,5,6 gts=1,2,3,4,5,6,7",
+                                      "1 7 4 1 inputs=1,3,5,7 gts=1,2",
+                                      "1 3000000000001 4 999999999999 inputs=1 gts=1"])
+    def test_manifest_line_must_match_its_plan(self, line):
+        with pytest.raises(InvalidInputError, match="contradicts its N_in and S"):
+            parse_manifest(line + "\n")
 
     def test_select_gt_frames(self):
         p = plan_windows(25, 4, 7)[0]

@@ -209,14 +209,6 @@ class TestSimulate:
         assert not ((got.t > frames[2].timestamp) & (got.t < frames[3].timestamp)).any()
         assert_same_stream(got, reference.simulate_events(frames, C=C))
 
-    def test_ramp_clip_with_held_frame_and_eps(self):
-        frames = make_ramp_clip(h=9, w=11, n_frames=7)
-        held = [IntensityFrame(timestamp=f.timestamp if i < 4 else f.timestamp + 500,
-                               pixels=(frames[i - 1] if i == 4 else f).pixels)
-                for i, f in enumerate(frames)]
-        got = simulate_events(held, C=0.15, eps=1e-2)
-        assert_same_stream(got, reference.simulate_events(held, C=0.15, eps=1e-2))
-
     def test_opposite_polarities_in_one_microsecond(self):
         # a rise of exactly 2C ends on a frame time, then a fall crosses
         # within the next microsecond: +1 and -1 share (t, pixel), and the

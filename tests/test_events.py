@@ -23,26 +23,22 @@ def frame_of(value, h=4, w=4, t=0):
 
 class TestLogView:
     def test_uniform_frame(self):
-        out = log_view(frame_of(0.25), eps=1e-3)
+        out = log_view(frame_of(0.25))
         assert np.allclose(out, math.log(0.251))
 
     def test_zero_value(self):
-        out = log_view(frame_of(0.0), eps=1e-3)
+        out = log_view(frame_of(0.0))
         assert np.allclose(out, math.log(1e-3))
 
     def test_half_value(self):
-        out = log_view(frame_of(0.5), eps=1e-3)
+        out = log_view(frame_of(0.5))
         assert np.allclose(out, -0.691149, atol=1e-6)
 
     def test_rgb_uses_luma(self):
         px = np.zeros((4, 4, 3))
         px[..., 0] = 1.0  # pure red
-        out = log_view(IntensityFrame(timestamp=0, pixels=px), eps=1e-3)
+        out = log_view(IntensityFrame(timestamp=0, pixels=px))
         assert np.allclose(out, math.log(0.299 + 1e-3))
-
-    def test_eps_must_be_positive(self):
-        with pytest.raises(InvalidInputError):
-            log_view(frame_of(0.5), eps=0.0)
 
 
 def scan_crossings_1ns(levels, stamps_us, C):
@@ -112,8 +108,8 @@ class TestSimulateEvents:
         inv = [IntensityFrame(timestamp=i * 50,
                               pixels=np.exp(2 * mid - np.log(vals[i] + eps)) - eps)
                for i in range(6)]
-        a = simulate_events(frames, C=0.12, eps=eps)
-        b = simulate_events(inv, C=0.12, eps=eps)
+        a = simulate_events(frames, C=0.12)
+        b = simulate_events(inv, C=0.12)
         assert len(a) == len(b)
         assert np.array_equal(a.t, b.t)
         assert np.array_equal(a.x, b.x)

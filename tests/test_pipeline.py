@@ -183,12 +183,15 @@ class TestPipeline:
             PipelineConfig(n_in=4, **{field: value})
 
     def test_resolution_must_fit_window_and_depth(self):
-        frames = toy_clip(h=12, w=12)
-        stream = simulate_events(frames, C=0.2)
-        config = toy_config()
-        params = init_pipeline_params(config, 0)
-        with pytest.raises(InvalidInputError):
-            pipeline_forward(frames, stream, 1.0, [0.5], config, params)
+        # the check runs before any parameter is read, so the depth-2
+        # parameters stand in for a 20000-deep model's
+        params = init_pipeline_params(toy_config(), 0)
+        for side, depth in [(12, 2), (16, 20000)]:
+            frames = toy_clip(h=side, w=side)
+            stream = simulate_events(frames, C=0.2)
+            config = PipelineConfig(n_in=4, c_r=8, c_t=16, c_ts=8, encoder_depth=depth)
+            with pytest.raises(InvalidInputError, match=r"= 4\*2\^%d$" % depth):
+                pipeline_forward(frames, stream, 1.0, [0.5], config, params)
 
     def test_event_sensor_must_match_frames(self):
         # 16^2 frames with events from a 32^2 sensor
