@@ -19,20 +19,11 @@ from .representations import (
     build_voxel_grid,
     tpr_granularity,
 )
-from .dataset import (
-    CropPlan,
-    WindowPlan,
-    downsample_bicubic,
-    normalize_times,
-    plan_crop,
-    plan_windows,
-    sample_scale,
-)
+from .dataset import WindowPlan, downsample_bicubic, plan_windows
 from .metrics import MetricReport, psnr, rgb_to_y, ssim
 from .pipeline import (
     PipelineParams,
     RunReport,
-    charbonnier_loss,
     init_pipeline_params,
     pipeline_forward,
 )
@@ -45,10 +36,9 @@ __all__ = [
     "polarity_integral", "reconstruct_log_intensity",
     "VoxelGrid", "TemporalPyramid", "GranularitySpec",
     "build_voxel_grid", "build_tpr", "tpr_granularity",
-    "WindowPlan", "CropPlan", "plan_windows", "sample_scale", "plan_crop",
-    "downsample_bicubic", "normalize_times",
+    "WindowPlan", "plan_windows", "downsample_bicubic",
     "MetricReport", "rgb_to_y", "psnr", "ssim",
     "PipelineConfig", "PipelineParams", "RunReport",
-    "init_pipeline_params", "pipeline_forward", "charbonnier_loss",
+    "init_pipeline_params", "pipeline_forward",
     "InvalidInputError", "FormatError", "NumericError",
 ]

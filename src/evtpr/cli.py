@@ -1,5 +1,5 @@
 """Batch command-line surface: simulate, voxelize, tpr, reconstruct, plan,
-pipeline, metrics, bench.
+pipeline, metrics.
 
 Exit codes: 0 success, 2 usage error, 3 format error, 4 numeric/contract
 violation. All randomness flows from --seed; outputs are reproducible from
@@ -12,9 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import statistics
 import sys
-import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -156,10 +154,13 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    plans = dataset.plan_windows(args.frames, args.nin, args.skip, args.stride)
-    text = dataset.format_manifest(plans)
-    Path(args.output).write_text(text)
-    print("planned %d windows -> %s" % (len(plans), args.output))
+    # a line per window start, not a list of plans: a huge --frames costs
+    # time and disk, never memory
+    starts = dataset.window_starts(args.frames, args.nin, args.skip, args.stride)
+    with open(args.output, "w") as fh:
+        for start in starts:
+            fh.write(dataset.manifest_line(dataset.window_plan(start, args.nin, args.skip)))
+    print("planned %d windows -> %s" % (len(starts), args.output))
     return EXIT_OK
 
 
@@ -205,37 +206,6 @@ def cmd_metrics(args) -> int:
         rows.append("%d,%.6f,%s,%.6f" % (i, t, psnr_text, rep.ssim))
     Path(args.output).write_text("".join(r + "\n" for r in rows))
     print("wrote %d metric rows to %s" % (n, args.output))
-    return EXIT_OK
-
-
-def cmd_bench(args) -> int:
-    if args.repeat < 1:
-        raise UsageError("--repeat must be >= 1")
-    raw_bytes = Path(args.events).stat().st_size
-    elapsed = []
-    result = None
-    for _ in range(args.repeat):
-        start = time.perf_counter()
-        stream = io_formats.read_events(args.events)
-        if args.repr == "voxel":
-            out = representations.build_voxel_grid(
-                stream, args.bins, stream.t_begin, max(stream.t_end, stream.t_begin + 1))
-        else:
-            center = (stream.t_begin + stream.t_end) / 2.0
-            half = max((stream.t_end - stream.t_begin) / 2.0, 32.0)
-            out = representations.build_tpr(stream, center, half,
-                                            args.levels, args.moments, args.ratio)
-        elapsed.append(time.perf_counter() - start)
-        if result is None:
-            result = out.data
-        elif not np.array_equal(result, out.data):
-            raise NumericError("bench repeats produced different representations")
-    med = statistics.median(elapsed)
-    n_events = len(stream)
-    print("events: %d" % n_events)
-    print("median_seconds: %.6f" % med)
-    print("events_per_second: %.1f" % (n_events / med if med > 0 else float("inf")))
-    print("bytes_per_second: %.1f" % (raw_bytes / med if med > 0 else float("inf")))
     return EXIT_OK
 
 
@@ -320,16 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--border-crop", type=int, default=0)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_metrics)
-
-    p = sub.add_parser("bench", help="representation-building throughput")
-    p.add_argument("events")
-    p.add_argument("--repr", choices=["voxel", "tpr"], default="voxel")
-    p.add_argument("--repeat", type=int, default=3)
-    p.add_argument("--bins", type=int, default=8)
-    p.add_argument("--levels", type=int, default=3)
-    p.add_argument("--moments", type=int, default=2)
-    p.add_argument("--ratio", type=float, default=3.0)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

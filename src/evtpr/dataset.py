@@ -1,5 +1,5 @@
-"""Sliding-window dataset arithmetic: window planning, crop geometry,
-scale sampling, timestamp normalization, and bicubic downsampling."""
+"""Sliding-window dataset arithmetic: window planning, the window
+manifest, seeded ground-truth selection, and bicubic downsampling."""
 
 from __future__ import annotations
 
@@ -11,11 +11,6 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .events import IntensityFrame
-
-CROP_SIZE = 512
-SCALE_LOW = 1.0
-SCALE_HIGH = 8.0
-
 
 @dataclass(frozen=True)
 class WindowPlan:
@@ -37,13 +32,6 @@ class WindowPlan:
         return np.arange(w, dtype=np.float64) / (w - 1)
 
 
-@dataclass(frozen=True)
-class CropPlan:
-    scale: float  # s >= 1
-    hr_rect: tuple[int, int, int, int]  # top, left, height, width
-    lr_rect: tuple[int, int, int, int]
-
-
 def _window_size(n_in: int, skip: int) -> int:
     """W = (N_in - 1)*(S + 1) + 1, for N_in >= 2 and S >= 0."""
     if n_in < 2:
@@ -53,7 +41,7 @@ def _window_size(n_in: int, skip: int) -> int:
     return (n_in - 1) * (skip + 1) + 1
 
 
-def _window_plan(start: int, n_in: int, skip: int) -> WindowPlan:
+def window_plan(start: int, n_in: int, skip: int) -> WindowPlan:
     """The window from clip frame `start`: inputs every S + 1 frames, GTs all W."""
     w = _window_size(n_in, skip)
     return WindowPlan(start=start, window_size=w, n_in=n_in, skip=skip,
@@ -61,20 +49,26 @@ def _window_plan(start: int, n_in: int, skip: int) -> WindowPlan:
                       gt_indices=tuple(range(1, w + 1)))
 
 
-def plan_windows(total_frames: int, n_in: int, skip: int,
-                 stride: Optional[int] = None) -> list[WindowPlan]:
-    """All windows starting at 1, 1+stride, ... that fit in the clip.
+def window_starts(total_frames: int, n_in: int, skip: int,
+                  stride: Optional[int] = None) -> range:
+    """The clip frames 1, 1+stride, ... that start a window fitting in the clip.
 
-    Returns an empty list (not an error) when the clip is shorter than W.
-    Default stride is W (non-overlapping windows).
+    Empty (not an error) when the clip is shorter than W. Default stride is
+    W (non-overlapping windows).
     """
     w = _window_size(n_in, skip)
     if stride is None:
         stride = w
     if stride < 1:
         raise InvalidInputError("stride must be >= 1")
-    return [_window_plan(start, n_in, skip)
-            for start in range(1, total_frames - w + 2, stride)]
+    return range(1, total_frames - w + 2, stride)
+
+
+def plan_windows(total_frames: int, n_in: int, skip: int,
+                 stride: Optional[int] = None) -> list[WindowPlan]:
+    """The window of each of `window_starts`, as a list."""
+    return [window_plan(start, n_in, skip)
+            for start in window_starts(total_frames, n_in, skip, stride)]
 
 
 def select_gt_frames(plan: WindowPlan, count: int,
@@ -86,55 +80,16 @@ def select_gt_frames(plan: WindowPlan, count: int,
     return tuple(sorted(int(i) + 1 for i in picked))
 
 
-def sample_scale(rng: np.random.Generator) -> float:
-    """Upsampling scale drawn uniformly from [1, 8]."""
-    return float(rng.uniform(SCALE_LOW, SCALE_HIGH))
-
-
-def plan_crop(frame_h: int, frame_w: int, s: float,
-              rng: np.random.Generator) -> CropPlan:
-    """Random HR crop of side floor(floor(512/s) * s) and its LR counterpart."""
-    if not 1 <= s < math.inf:
-        raise InvalidInputError("scale must be finite and >= 1")
-    lr_side = int(math.floor(CROP_SIZE / s))
-    hr_side = int(math.floor(lr_side * s))
-    if hr_side > frame_h or hr_side > frame_w:
-        raise InvalidInputError("frame smaller than the HR crop")
-    top = int(rng.integers(0, frame_h - hr_side + 1))
-    left = int(rng.integers(0, frame_w - hr_side + 1))
-    return CropPlan(
-        scale=float(s),
-        hr_rect=(top, left, hr_side, hr_side),
-        lr_rect=(int(math.floor(top / s)), int(math.floor(left / s)),
-                 lr_side, lr_side),
-    )
-
-
-def normalize_times(plan: WindowPlan, frame_timestamps: Sequence[int]) -> np.ndarray:
-    """Affine map of the window's frame timestamps onto [0, 1].
-
-    `frame_timestamps` holds the W timestamps of the window's frames, in
-    microseconds, strictly increasing.
-    """
-    ts = np.asarray(frame_timestamps, np.float64)
-    if len(ts) != plan.window_size:
-        raise InvalidInputError("expected one timestamp per window frame")
-    if np.any(np.diff(ts) <= 0):
-        raise InvalidInputError("timestamps must be strictly increasing")
-    if ts[-1] == ts[0]:
-        raise InvalidInputError("window endpoints must differ in time")
-    return (ts - ts[0]) / (ts[-1] - ts[0])
+def manifest_line(plan: WindowPlan) -> str:
+    """One window's line: `start W N_in S inputs=i1,i2,... gts=...`."""
+    return "%d %d %d %d inputs=%s gts=%s\n" % (
+        plan.start, plan.window_size, plan.n_in, plan.skip,
+        ",".join(map(str, plan.input_indices)), ",".join(map(str, plan.gt_indices)))
 
 
 def format_manifest(plans: Sequence[WindowPlan]) -> str:
-    """One window per line: `start W N_in S inputs=i1,i2,... gts=...`."""
-    lines = []
-    for p in plans:
-        lines.append("%d %d %d %d inputs=%s gts=%s" % (
-            p.start, p.window_size, p.n_in, p.skip,
-            ",".join(str(i) for i in p.input_indices),
-            ",".join(str(i) for i in p.gt_indices)))
-    return "".join(line + "\n" for line in lines)
+    """One `manifest_line` per window."""
+    return "".join(map(manifest_line, plans))
 
 
 def parse_manifest(text: str) -> list[WindowPlan]:
@@ -157,7 +112,7 @@ def parse_manifest(text: str) -> list[WindowPlan]:
         plan = WindowPlan(start=start, window_size=w, n_in=n_in, skip=skip,
                           input_indices=inputs, gt_indices=gts)
         # W against the line's own GT count first: a short line builds no huge plan
-        if _window_size(n_in, skip) != len(gts) or plan != _window_plan(start, n_in, skip):
+        if _window_size(n_in, skip) != len(gts) or plan != window_plan(start, n_in, skip):
             raise InvalidInputError("manifest line contradicts its N_in and S: %r" % line)
         plans.append(plan)
     return plans

@@ -127,22 +127,6 @@ class EventStream:
     def __iter__(self) -> Iterator[Event]:
         return map(Event, self.x.tolist(), self.y.tolist(), self.t.tolist(), self.p.tolist())
 
-    @classmethod
-    def from_events(cls, events: Sequence[Event], sensor_width: int,
-                    sensor_height: int, t_begin: int, t_end: int) -> "EventStream":
-        ev = list(events)
-        # one list per field: np.array over the Event tuples is about 3x slower
-        return cls(
-            sensor_width=sensor_width,
-            sensor_height=sensor_height,
-            t_begin=t_begin,
-            t_end=t_end,
-            t=[e.t for e in ev],
-            x=[e.x for e in ev],
-            y=[e.y for e in ev],
-            p=[e.p for e in ev],
-        )
-
 
 @dataclass(frozen=True)
 class IntensityFrame:

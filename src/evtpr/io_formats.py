@@ -9,8 +9,6 @@ t u64 | x u16 | y u16 | p i8 | 3 pad bytes.
 Tensor file ("TNS1"): magic 4s | ndim u32 | ndim x u32 dims | row-major
 float32 payload.
 
-Event CSV: one `t,x,y,p` line of decimal integers per event.
-
 Frames are binary portable pixmaps: PGM (P5) for luma, PPM (P6) for RGB,
 8-bit with maxval 255, mapped to [0, 1] by /255 on read.
 """
@@ -18,11 +16,10 @@ Frames are binary portable pixmaps: PGM (P5) for luma, PPM (P6) for RGB,
 from __future__ import annotations
 
 import contextlib
-import io
 import math
 import os
 import struct
-from typing import IO, BinaryIO, Union
+from typing import BinaryIO, Union
 
 import numpy as np
 
@@ -43,7 +40,7 @@ PathOrStream = Union[str, os.PathLike, BinaryIO]
 
 
 @contextlib.contextmanager
-def _opened(dest: Union[str, os.PathLike, IO], mode: str):
+def _opened(dest: PathOrStream, mode: str):
     if isinstance(dest, (str, os.PathLike)):
         with open(dest, mode) as fh:
             yield fh
@@ -111,53 +108,12 @@ def read_events(src: PathOrStream) -> EventStream:
             raise FormatError("unsupported event-file version %d" % version)
         payload = _read_exactly(fh, count * EVENT_RECORD.size, "event payload")
         rec = np.frombuffer(payload, dtype=_record_dtype())
-        return _checked_stream(width, height, t_begin, t_end,
-                               rec["t"], rec["x"], rec["y"], rec["p"])
-
-
-def _checked_stream(width, height, t_begin, t_end, t, x, y, p) -> EventStream:
-    """EventStream of decoded fields; a value it rejects is a FormatError."""
-    try:
+    try:  # a decoded value the stream rejects is a FormatError
         return EventStream(sensor_width=width, sensor_height=height,
-                           t_begin=t_begin, t_end=t_end, t=t, x=x, y=y, p=p)
+                           t_begin=t_begin, t_end=t_end,
+                           t=rec["t"], x=rec["x"], y=rec["y"], p=rec["p"])
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
-
-
-def write_events_csv(stream: EventStream, dest: Union[str, os.PathLike, io.TextIOBase]) -> None:
-    """Plain `t,x,y,p` lines, one event per line."""
-    fields = zip(stream.t.tolist(), stream.x.tolist(), stream.y.tolist(), stream.p.tolist())
-    with _opened(dest, "w") as fh:
-        fh.write("".join(map("%d,%d,%d,%d\n".__mod__, fields)))
-
-
-def read_events_csv(src: Union[str, os.PathLike, io.TextIOBase],
-                    sensor_width: int, sensor_height: int,
-                    t_begin: int, t_end: int) -> EventStream:
-    """Events from `t,x,y,p` lines, as `write_events_csv` writes them.
-
-    Empty lines are skipped and CRLF line ends accepted. Any other line
-    without four comma-separated int64 fields, a line of spaces too, is a
-    FormatError, and so are non-ASCII text and a value the stream rejects.
-    """
-    with _opened(src, "r") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise FormatError("event CSV must be ASCII text: %s" % exc) from exc
-    # numpy 2.4.6's loadtxt misreads or segfaults on some non-ASCII fields
-    if not text.isascii():
-        raise FormatError("event CSV must be ASCII text")
-    rows = np.empty((0, 4), np.int64)
-    if text.strip():  # loadtxt warns on input without data
-        try:
-            rows = np.loadtxt(io.StringIO(text), np.int64, delimiter=",",
-                              comments=None, ndmin=2)
-        except ValueError as exc:
-            raise FormatError("malformed event CSV: %s" % exc) from exc
-    if rows.shape[1] != 4:
-        raise FormatError("event CSV lines need 4 fields, not %d" % rows.shape[1])
-    return _checked_stream(sensor_width, sensor_height, t_begin, t_end, *rows.T)
 
 
 def write_tensor(data: np.ndarray, dest: PathOrStream) -> None:

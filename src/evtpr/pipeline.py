@@ -135,16 +135,6 @@ def init_pipeline_params(config: PipelineConfig, seed: int) -> PipelineParams:
                           temporal=temporal, decoder=decoder)
 
 
-def charbonnier_loss(pred: np.ndarray, gt: np.ndarray, eps: float = 1e-3) -> float:
-    """Mean of sqrt((pred - gt)^2 + eps^2)."""
-    if pred.shape != gt.shape:
-        raise InvalidInputError("shape mismatch")
-    if eps <= 0:
-        raise InvalidInputError("eps must be positive")
-    d = pred.astype(np.float64) - gt.astype(np.float64)
-    return float(np.mean(np.sqrt(d * d + eps * eps)))
-
-
 def _available_cores() -> int:
     """Cores this process may run on (its affinity mask where the OS has one)."""
     if hasattr(os, "sched_getaffinity"):

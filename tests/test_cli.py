@@ -1,11 +1,18 @@
+import argparse
 import hashlib
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import evtpr
 from evtpr import IntensityFrame, simulate_events
-from evtpr.cli import main
+from evtpr.cli import build_parser, main
 from evtpr.dataset import parse_manifest
 from evtpr.io_formats import read_events, read_frame, read_tensor, write_frame
 
@@ -185,13 +192,35 @@ class TestPlan:
                      "-o", str(out)]) == 0
         assert out.read_text() == ""
 
-    def test_manifest_round_trips(self, tmp_path):
+    def test_manifest_round_trips(self, tmp_path, capsys):
         out = tmp_path / "manifest.txt"
         main(["plan", "--frames", "60", "--nin", "3", "--skip", "2",
               "--stride", "5", "-o", str(out)])
         plans = parse_manifest(out.read_text())
         from evtpr.dataset import format_manifest
         assert format_manifest(plans) == out.read_text()
+        assert capsys.readouterr().out.startswith("planned %d windows" % len(plans))
+
+    def test_huge_manifest_is_streamed(self):
+        # 10**8 windows: a list of their plans would outgrow the address-space
+        # limit; line by line, the first flush to /dev/full is a usage error
+        pytest.importorskip("resource")
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full to write to")
+        limit = 1536 << 20
+        code = ("import resource, sys; "
+                "resource.setrlimit(resource.RLIMIT_AS, (%d, %d)); "
+                "from evtpr.cli import main; sys.exit(main(sys.argv[1:]))" % (limit, limit))
+        src = str(Path(evtpr.__file__).resolve().parents[1])
+        # one OpenBLAS thread: its per-thread buffers stay out of the limit
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run(
+            [sys.executable, "-c", code, "plan", "--frames", "100000000", "--nin", "2",
+             "--skip", "0", "--stride", "1", "-o", "/dev/full"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 2, run.stderr
+        assert run.stderr.startswith("usage error: ") and run.stderr.count("\n") == 1
 
 
 @pytest.fixture
@@ -272,43 +301,6 @@ class TestMetricsCmd:
         write_frame(np.full((16, 16), 0.5), str(a_dir / "f.pgm"))
         assert main(["metrics", str(a_dir), str(b_dir),
                      "-o", str(tmp_path / "r.csv")]) == 2
-
-
-class TestBench:
-    def test_repeats_consistent(self, tmp_path, capsys):
-        frames = make_ramp_clip(h=8, w=8, n_frames=6)
-        d = write_clip(tmp_path, frames)
-        events = tmp_path / "events.evt"
-        main(["simulate", str(d), "--threshold", "0.1", "-o", str(events)])
-        capsys.readouterr()
-        assert main(["bench", str(events), "--repr", "voxel",
-                     "--repeat", "5"]) == 0
-        out = capsys.readouterr().out
-        assert "events_per_second:" in out
-        assert "bytes_per_second:" in out
-
-    def test_repeat_below_one_is_usage_error(self, tmp_path):
-        frames = make_ramp_clip(h=8, w=8, n_frames=4)
-        d = write_clip(tmp_path, frames)
-        events = tmp_path / "events.evt"
-        main(["simulate", str(d), "--threshold", "0.1", "-o", str(events)])
-        for repeat in ("0", "-2"):
-            assert main(["bench", str(events), "--repeat", repeat]) == 2
-
-    def test_large_synthetic_file(self, tmp_path):
-        from evtpr import EventStream
-        from evtpr.io_formats import write_events
-        rng = np.random.default_rng(0)
-        n = 1_000_000
-        stream = EventStream(
-            sensor_width=64, sensor_height=64, t_begin=0, t_end=10 ** 7,
-            t=np.sort(rng.integers(0, 10 ** 7, n)).astype(np.int64),
-            x=rng.integers(0, 64, n).astype(np.int32),
-            y=rng.integers(0, 64, n).astype(np.int32),
-            p=rng.choice(np.array([-1, 1], np.int8), n))
-        path = tmp_path / "big.evt"
-        write_events(stream, str(path))
-        assert main(["bench", str(path), "--repr", "tpr", "--repeat", "1"]) == 0
 
 
 class TestErrorCodes:
@@ -504,20 +496,17 @@ class TestNonFiniteFlags:
          "2000", "--threshold", "nan"],
         ["reconstruct", "{frame}", "{events}", "--frame-time", "0", "--at",
          "2000", "--threshold", "inf"],
-        ["bench", "{events}", "--repr", "tpr", "--ratio", "nan"],
         ["metrics", "{clip}", "{clip}", "--border-crop", "-1"],
     ], ids=["pipeline-scale-nan", "pipeline-scale-inf", "pipeline-scale-1e308",
             "pipeline-scale-1e300", "pipeline-scale-1e8", "pipeline-scale-1e6",
             "simulate-threshold-nan", "reconstruct-threshold-nan",
             "reconstruct-threshold-inf",
-            "bench-ratio-nan", "metrics-border-crop-negative"])
+            "metrics-border-crop-negative"])
     def test_exits_4_without_output(self, rgb_clip, tmp_path, capsys, argv):
         d, events = rgb_clip
         out = tmp_path / "out"
         argv = [a.format(clip=d, events=events, frame=d / "frame_000.ppm")
-                for a in argv]
-        if argv[0] != "bench":
-            argv += ["-o", str(out)]
+                for a in argv] + ["-o", str(out)]
         capsys.readouterr()
         assert main(argv) == 4
         assert_one_line_error(capsys, "contract violation: ")
@@ -607,3 +596,12 @@ class TestUsageErrors:
         assert main(["metrics", dirs["pred"], dirs["gt"],
                      "-o", str(tmp_path / "r.csv")]) == 2
         assert_one_line_error(capsys, "usage error: ")
+
+
+def test_readme_usage_lists_exactly_the_subcommands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    usage = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("\n```", 1)[0]
+    listed = re.findall(r"\bevtpr (\S+)", usage)
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert set(listed) == set(subparsers.choices)

@@ -7,10 +7,7 @@ from evtpr import (
     IntensityFrame,
     InvalidInputError,
     downsample_bicubic,
-    normalize_times,
-    plan_crop,
     plan_windows,
-    sample_scale,
 )
 from evtpr.dataset import format_manifest, parse_manifest, select_gt_frames
 
@@ -100,87 +97,6 @@ class TestPlanWindows:
         assert all(1 <= i <= 25 for i in picked)
         rng2 = np.random.default_rng(3)
         assert select_gt_frames(p, 20, rng2) == picked
-
-
-class TestSampleScale:
-    def test_deterministic_for_seed(self):
-        a = sample_scale(np.random.default_rng(0))
-        b = sample_scale(np.random.default_rng(0))
-        assert a == b
-        assert 1.0 <= a <= 8.0
-
-    def test_support_and_mean(self):
-        rng = np.random.default_rng(42)
-        samples = np.array([sample_scale(rng) for _ in range(100_000)])
-        assert samples.min() >= 1.0 and samples.max() <= 8.0
-        assert abs(samples.mean() - 4.5) < 0.05
-
-
-class TestPlanCrop:
-    def test_identity_scale(self):
-        plan = plan_crop(600, 600, 1.0, np.random.default_rng(0))
-        assert plan.hr_rect[2:] == (512, 512)
-        assert plan.lr_rect[2:] == (512, 512)
-        assert plan.hr_rect == plan.lr_rect
-
-    def test_scale_four(self):
-        plan = plan_crop(600, 600, 4.0, np.random.default_rng(0))
-        assert plan.lr_rect[2:] == (128, 128)
-        assert plan.hr_rect[2:] == (512, 512)
-
-    def test_fractional_scale(self):
-        # floor(512/3.7) = 138, floor(138*3.7) = 510
-        plan = plan_crop(600, 600, 3.7, np.random.default_rng(0))
-        assert plan.lr_rect[2:] == (138, 138)
-        assert plan.hr_rect[2:] == (510, 510)
-
-    def test_rect_within_bounds(self):
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            s = sample_scale(rng)
-            plan = plan_crop(700, 900, s, rng)
-            top, left, hh, ww = plan.hr_rect
-            assert 0 <= top and top + hh <= 700
-            assert 0 <= left and left + ww <= 900
-            # hr/lr side ratio within one pixel of s
-            assert abs(hh - plan.lr_rect[2] * s) <= s
-
-    def test_frame_too_small(self):
-        with pytest.raises(InvalidInputError):
-            plan_crop(100, 100, 1.0, np.random.default_rng(0))
-
-    @pytest.mark.parametrize("s", [0.5, math.nan, math.inf, -math.inf])
-    def test_scale_must_be_finite_and_at_least_one(self, s):
-        with pytest.raises(InvalidInputError, match="finite"):
-            plan_crop(600, 600, s, np.random.default_rng(0))
-
-
-class TestNormalizeTimes:
-    def test_endpoints(self):
-        p = plan_windows(5, 3, 1)[0]
-        t = normalize_times(p, [100, 200, 300, 400, 500])
-        assert t[0] == 0.0 and t[-1] == 1.0
-
-    def test_uniform_midpoint(self):
-        p = plan_windows(25, 4, 7)[0]
-        stamps = [1000 + 40 * i for i in range(25)]
-        t = normalize_times(p, stamps)
-        assert t[12] == pytest.approx(0.5)
-
-    def test_non_uniform_affine(self):
-        p = plan_windows(4, 2, 2)[0]
-        stamps = [0, 10, 70, 100]
-        t = normalize_times(p, stamps)
-        expected = [(s - stamps[0]) / (stamps[-1] - stamps[0]) for s in stamps]
-        assert np.allclose(t, expected)
-        assert np.all(np.diff(t) > 0)
-
-    def test_bad_timestamps(self):
-        p = plan_windows(4, 2, 2)[0]
-        with pytest.raises(InvalidInputError):
-            normalize_times(p, [0, 10, 10, 100])
-        with pytest.raises(InvalidInputError):
-            normalize_times(p, [0, 10, 100])
 
 
 def cubic_weight(x, a=-0.5):

@@ -21,6 +21,11 @@ def frame_of(value, h=4, w=4, t=0):
     return IntensityFrame(timestamp=t, pixels=np.full((h, w), value))
 
 
+def stream_of(t, x, y, p, w=8, h=8, t_begin=0, t_end=100):
+    return EventStream(sensor_width=w, sensor_height=h, t_begin=t_begin,
+                       t_end=t_end, t=t, x=x, y=y, p=p)
+
+
 class TestLogView:
     def test_uniform_frame(self):
         out = log_view(frame_of(0.25))
@@ -141,9 +146,8 @@ class TestPolarityIntegral:
         assert polarity_integral(stream, 2, 3, 500, 500) == 0
 
     def test_counts_signed(self):
-        evs = [Event(1, 1, 10, 1), Event(1, 1, 20, 1), Event(1, 1, 30, 1),
-               Event(1, 1, 40, -1)]
-        stream = EventStream.from_events(evs, 4, 4, 0, 100)
+        stream = stream_of([10, 20, 30, 40], [1] * 4, [1] * 4, [1, 1, 1, -1],
+                           w=4, h=4)
         assert polarity_integral(stream, 1, 1, 0, 100) == 2
 
     def test_additive_over_subintervals(self, rng):
@@ -175,8 +179,7 @@ class TestReconstruct:
 
     def test_positive_events_multiply_intensity(self):
         C = 0.25
-        evs = [Event(2, 1, 10, 1), Event(2, 1, 20, 1), Event(2, 1, 30, 1)]
-        stream = EventStream.from_events(evs, 4, 4, 0, 100)
+        stream = stream_of([10, 20, 30], [2] * 3, [1] * 3, [1] * 3, w=4, h=4)
         frame = frame_of(0.3, t=0)
         out = reconstruct_log_intensity(frame, stream, 100, C=C)
         expected = log_view(frame).copy()
@@ -193,8 +196,7 @@ class TestReconstruct:
 
     @pytest.mark.parametrize("h,w", [(4, 4), (16, 16), (8, 4)])
     def test_frame_must_match_sensor(self, h, w):
-        evs = [Event(7, 7, 10, 1)]
-        stream = EventStream.from_events(evs, 8, 8, 0, 100)
+        stream = stream_of([10], [7], [7], [1])
         with pytest.raises(InvalidInputError, match="sensor size"):
             reconstruct_log_intensity(frame_of(0.4, h=h, w=w), stream, 100, C=0.2)
 
@@ -207,11 +209,6 @@ class TestReconstruct:
             recon = reconstruct_log_intensity(base, stream, f.timestamp, C=C)
             err = np.abs(recon - log_view(f)).max()
             assert err <= C + 1e-9
-
-
-def stream_of(t, x, y, p, w=8, h=8, t_begin=0, t_end=100):
-    return EventStream(sensor_width=w, sensor_height=h, t_begin=t_begin,
-                       t_end=t_end, t=t, x=x, y=y, p=p)
 
 
 class TestEventStreamStorage:
@@ -269,9 +266,10 @@ class TestEventStreamStorage:
         Event(0, 0, 10, 300), Event(2 ** 40, 0, 10, 1), Event(0, 0, 2 ** 70, 1),
         Event(0, -1, 10, 1), Event(0, 0, -2 ** 63, -1),
     ], ids=["p-300", "x-2**40", "t-2**70", "y-negative", "t-before-begin"])
-    def test_from_events_out_of_range(self, event):
+    def test_out_of_range_event(self, event):
+        x, y, t, p = ([a, b] for a, b in zip(Event(1, 1, 5, 1), event))
         with pytest.raises(InvalidInputError):
-            EventStream.from_events([Event(1, 1, 5, 1), event], 8, 8, 0, 100)
+            stream_of(t, x, y, p)
 
     @pytest.mark.parametrize("kwargs", [
         dict(t_end=2 ** 63), dict(t_begin=-2 ** 63 - 1),

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from evtpr import Event, EventStream, FormatError
+from evtpr import EventStream, FormatError
 from evtpr.io_formats import (
     EVENT_HEADER,
     EVENT_MAGIC,
@@ -12,11 +12,9 @@ from evtpr.io_formats import (
     EVENT_VERSION,
     TENSOR_MAGIC,
     read_events,
-    read_events_csv,
     read_frame,
     read_tensor,
     write_events,
-    write_events_csv,
     write_frame,
     write_tensor,
 )
@@ -118,66 +116,6 @@ class TestEventCodec:
             body[h + 4 * 16:h + 5 * 16] = first
             with pytest.raises(FormatError):
                 read_events(io.BytesIO(bytes(body)))
-
-    def test_csv_agrees_with_binary(self, rng):
-        for _ in range(10):
-            stream = random_stream(rng, n=int(rng.integers(0, 100)))
-            text = io.StringIO()
-            write_events_csv(stream, text)
-            back = read_events_csv(io.StringIO(text.getvalue()),
-                                   stream.sensor_width, stream.sensor_height,
-                                   stream.t_begin, stream.t_end)
-            _, binary_back = round_trip_events(stream)
-            assert streams_equal(back, binary_back)
-
-
-def read_csv(text, w=8, h=8, t_begin=0, t_end=100_000):
-    return read_events_csv(io.StringIO(text), w, h, t_begin, t_end)
-
-
-class TestEventCsv:
-    @pytest.mark.parametrize("line", [
-        "10,0,0,300", "10,0,0,0", "10,1099511627776,0,1", "10,0,-1,1",
-        "1180591620717411303424,0,0,1", "100001,0,0,1",
-    ], ids=["p-300", "p-0", "x-2**40", "y-negative", "t-2**70", "t-after-end"])
-    def test_out_of_range_value(self, line):
-        with pytest.raises(FormatError):
-            read_csv(line + "\n")
-
-    @pytest.mark.parametrize("text", [
-        "1,2,3\n", "1,2,3,4,5\n", "1,2,3,4\n5,6,7\n", "1,2,3,4,\n",
-        "1.5,0,0,1\n", "1e3,0,0,1\n", "a,0,0,1\n", ",,,\n", "1_0,0,0,1\n",
-        "#1,0,0,1\n", "1,0,0,1\n  \n", "\u0661,0,0,1\n", "\U00020000,0,0,1\n",
-    ])
-    def test_malformed_line(self, text):
-        with pytest.raises(FormatError):
-            read_csv(text)
-
-    def test_undecodable_file(self, tmp_path):
-        (tmp_path / "ev.csv").write_bytes(b"10,1,2,1\n\xff\xfe\n")
-        with pytest.raises(FormatError):
-            read_events_csv(tmp_path / "ev.csv", 8, 8, 0, 100)
-
-    def test_blank_lines_and_crlf(self):
-        stream = read_csv("\r\n10,1,2,1\r\n\r\n20, 3 ,4,-1\r\n\n")
-        assert list(stream) == [Event(1, 2, 10, 1), Event(3, 4, 20, -1)]
-
-    @pytest.mark.parametrize("text", ["", "\n\n", " \r\n"])
-    def test_empty_input(self, text):
-        stream = read_csv(text)
-        assert len(stream) == 0
-        assert [a.dtype for a in (stream.t, stream.x, stream.y, stream.p)] == \
-            [np.int64, np.int32, np.int32, np.int8]
-
-    def test_writer_bytes_match_per_event_format(self, rng, tmp_path):
-        for n in (0, 1, 300):
-            stream = random_stream(rng, n=n, t_begin=-5, t_end=2 ** 40)
-            want = "".join("%d,%d,%d,%d\n" % (e.t, e.x, e.y, e.p) for e in stream)
-            write_events_csv(stream, tmp_path / "ev.csv")
-            assert (tmp_path / "ev.csv").read_bytes() == want.encode()
-            back = read_events_csv(tmp_path / "ev.csv", 8, 8, -5, 2 ** 40)
-            assert streams_equal(back, stream)
-
 
 class TestTensorCodec:
     def test_scalar_size_arithmetic(self):

@@ -44,7 +44,7 @@ from evtpr.kernels import (
     window_partition,
     window_unpartition,
 )
-from evtpr.pipeline import _init_mlp, _init_steb, charbonnier_loss
+from evtpr.pipeline import _init_mlp, _init_steb
 
 
 def rand_attention(rng, c, heads):
@@ -1067,24 +1067,3 @@ class TestPhaseDecode:
         finally:
             tracemalloc.stop()
         assert peak < 48e6
-
-
-class TestCharbonnier:
-    def test_zero_residual(self):
-        a = np.random.default_rng(31).random((4, 4))
-        assert charbonnier_loss(a, a, eps=1e-3) == pytest.approx(1e-3)
-
-    def test_uniform_residual_closed_form(self):
-        a = np.zeros((8, 8))
-        d, eps = 0.2, 1e-3
-        assert charbonnier_loss(a, a + d, eps=eps) == pytest.approx(
-            math.sqrt(d * d + eps * eps))
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(32)
-        a, b = rng.random((6, 6)), rng.random((6, 6))
-        assert charbonnier_loss(a, b) == pytest.approx(charbonnier_loss(b, a))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            charbonnier_loss(np.zeros((2, 2)), np.zeros((3, 2)))

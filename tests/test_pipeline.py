@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from evtpr import (
+    EventStream,
     IntensityFrame,
     InvalidInputError,
     NumericError,
@@ -65,6 +66,29 @@ class TestPipeline:
         assert len(calls) == 1
         assert report.holistic_calls == 1
         assert len(outs) == n_times
+
+    def test_event_at_inner_frame_time_counts_in_both_segments(self, monkeypatch):
+        # each voxel segment is built over its closed window [t_k, t_k+1]
+        import evtpr.pipeline
+
+        seen = []
+        forward = evtpr.pipeline.holistic_extractor_forward
+
+        def spy(frame_tensor, segments, *args, **kwargs):
+            seen.extend(segments)
+            return forward(frame_tensor, segments, *args, **kwargs)
+
+        monkeypatch.setattr(evtpr.pipeline, "holistic_extractor_forward", spy)
+        frames = toy_clip(n_frames=3)  # frame times 0, 1000 and 2000
+        stream = EventStream(sensor_width=16, sensor_height=16, t_begin=0,
+                             t_end=2000, t=[1000], x=[3], y=[5], p=[1])
+        config = toy_config(n_in=3)
+        pipeline_forward(frames, stream, 1.0, [0.5], config,
+                         init_pipeline_params(config, 0))
+        first, second = seen
+        bins = config.voxel_bins
+        assert first[bins - 1, 5, 3] == 1.0 and np.count_nonzero(first) == 1
+        assert second[0, 5, 3] == 1.0 and np.count_nonzero(second) == 1
 
     @pytest.mark.parametrize("s,expected", [(1.0, 16), (2.0, 32), (3.5, 56)])
     def test_output_scaling(self, s, expected):

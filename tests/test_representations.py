@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from evtpr import (
-    Event,
     EventStream,
     InvalidInputError,
     build_tpr,
@@ -18,7 +17,8 @@ from conftest import random_stream
 
 
 def one_event_stream(t, p=1, x=1, y=2, w=4, h=4, t_begin=0, t_end=1000):
-    return EventStream.from_events([Event(x, y, t, p)], w, h, t_begin, t_end)
+    return EventStream(sensor_width=w, sensor_height=h, t_begin=t_begin,
+                       t_end=t_end, t=[t], x=[x], y=[y], p=[p])
 
 
 class TestVoxelGrid:
