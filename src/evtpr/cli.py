@@ -308,6 +308,11 @@ def main(argv=None) -> int:
     except (InvalidInputError, NumericError) as exc:
         print("contract violation: %s" % exc, file=sys.stderr)
         return EXIT_CONTRACT
+    except MemoryError as exc:
+        # numpy's says how much it asked for; a bare MemoryError says nothing
+        print("contract violation: the input needs more memory than is available%s"
+              % (" (%s)" % exc if str(exc) else ""), file=sys.stderr)
+        return EXIT_CONTRACT
 
 
 if __name__ == "__main__":

@@ -194,7 +194,8 @@ def simulate_events(frames: Sequence[IntensityFrame], C: float) -> EventStream:
     (t - t_begin) * 2HW + 2 * (y * W + x) + (p < 0). Events with equal
     keys are identical, so one plain sort gives the same bytes for any sort
     algorithm. Raises InvalidInputError when the keys of the clip's span
-    could overflow int64.
+    could overflow int64, or when a segment's threshold crossings are too
+    many to index.
 
     Each segment works on the flat indices of its crossing pixels and
     expands their values to events through one event -> pixel map.
@@ -216,9 +217,15 @@ def simulate_events(frames: Sequence[IntensityFrame], C: float) -> EventStream:
     for (t0, l0), (t1, l1) in zip(zip(ts[:-1], logs[:-1]), zip(ts[1:], logs[1:])):
         dl = l1 - l0
         # number of threshold levels crossed per pixel during this segment
-        n_cross = np.floor(np.abs(l1 - ref) / C + _CROSSING_TOL).astype(np.int64)
+        n_cross = np.floor(np.abs(l1 - ref) / C + _CROSSING_TOL)
         n_cross[np.sign(dl) != np.sign(l1 - ref)] = 0
         n_cross[dl == 0] = 0
+        # their sum bounds each count and the running event index below
+        # (not NaN: the logs are finite and C is positive)
+        if not n_cross.sum() < 2.0 ** 62:
+            raise InvalidInputError("threshold %r gives %.3g events in one segment, "
+                                    "too many to index" % (C, n_cross.sum()))
+        n_cross = n_cross.astype(np.int64)
         pix = np.flatnonzero(n_cross)  # row-major, as np.nonzero's (y, x)
         n, dl_pix = n_cross[pix], dl[pix]
         pol = np.where(dl_pix > 0, 1, -1)

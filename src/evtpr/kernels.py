@@ -5,20 +5,20 @@ area-weighted spatial decoding.
 
 Everything here is pure float32 numpy with explicitly supplied parameters;
 no training, no hidden state, no scipy. STEB arithmetic is float32 end to
-end, layer norm, softmax and GELU included (only the layer-norm mean
-accumulates in float64); GELU takes the normal tail from Abramowitz &
-Stegun 7.1.26 in place of erf. Attention computes Q, K and V with one
-fused C x 3C GEMM whose Q columns carry the 1/sqrt(d) of the scores, and
-its scores are keys-major, K Q^T, so the softmax reduces over contiguous
-rows; AttentionParams builds the fused weights once. Both resampling
-convolutions run as BLAS GEMMs over gathered taps, the x2 upsampling as four
-sub-pixel phases with no x2 tensor. The decoder runs one block body for
-query arrays and output grids: a block takes the taps of its rows and of
-its columns and broadcasts them into each query's four corners. A whole
-output grid (QueryGrid), at any scale, solves each axis once and decodes
-blocks of whole output rows; a query array solves its axes per block. A
-QueryGrid holds only the grid's size; spatial_decode's s places its pixel
-centres.
+end, layer norm (which has no gain or bias), softmax and GELU included (only
+the layer-norm mean accumulates in float64); GELU takes the normal tail from
+Abramowitz & Stegun 7.1.26 in place of erf. Attention computes Q, K and V
+with one fused C x 3C GEMM whose Q columns carry the 1/sqrt(d) of the
+scores, and its scores are keys-major, K Q^T, so the softmax reduces over
+contiguous rows; AttentionParams builds the fused weights once. Both
+resampling convolutions run as BLAS GEMMs over gathered taps, the x2
+upsampling as four sub-pixel phases with no x2 tensor. The decoder runs one
+block body for query arrays and output grids: a block takes the taps of its
+rows and of its columns and broadcasts them into each query's four corners.
+A whole output grid (QueryGrid), at any scale, solves each axis once and
+decodes blocks of whole output rows; a query array solves its axes per
+block. A QueryGrid holds only the grid's size; spatial_decode's s places its
+pixel centres.
 tests/reference.py keeps the float64-internal and straightforward
 originals, and the outputs agree with them to 1e-5.
 
@@ -130,20 +130,8 @@ class MlpParams:
 
 
 @dataclass(frozen=True)
-class LayerNormParams:
-    gamma: np.ndarray
-    beta: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "gamma", _f32(self.gamma))
-        object.__setattr__(self, "beta", _f32(self.beta))
-
-
-@dataclass(frozen=True)
 class StebParams:
-    norm1: LayerNormParams
     attn: AttentionParams
-    norm2: LayerNormParams
     mlp: MlpParams
 
 
@@ -289,9 +277,9 @@ def _map_blocks(fn: Callable[[object], None], items: Sequence, threads: int) -> 
 _LN_EPS = 1e-5
 
 
-def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
+def layer_norm(x: np.ndarray) -> np.ndarray:
     """Per-token normalization over the last axis, (x - mean) /
-    sqrt(var + 1e-5) * gamma + beta; constant rows map to 0.
+    sqrt(var + 1e-5), with no gain or bias; constant rows map to 0.
 
     Float32 throughout except the mean, which is accumulated in float64:
     that makes it exact for a constant row (a float32 mean of, say, five
@@ -303,8 +291,6 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray
     var /= x.shape[-1]
     var += _LN_EPS
     out /= np.sqrt(var, out=var)
-    out *= gamma
-    out += beta
     return out
 
 
@@ -439,10 +425,8 @@ def steb_forward(x: np.ndarray, params: StebParams, M: int,
 
     def block(start: int) -> None:
         t = tokens[start:start + _STEB_CHUNK]
-        t += multi_head_self_attention(
-            layer_norm(t, params.norm1.gamma, params.norm1.beta), params.attn)
-        t += mlp_forward(layer_norm(t, params.norm2.gamma, params.norm2.beta),
-                         params.mlp)
+        t += multi_head_self_attention(layer_norm(t), params.attn)
+        t += mlp_forward(layer_norm(t), params.mlp)
 
     _map_blocks(block, range(0, len(tokens), _STEB_CHUNK), threads)
     out = window_unpartition(tokens, M, l, h, w)

@@ -18,7 +18,6 @@ from .kernels import (
     AttentionParams,
     ConvParams,
     HolisticParams,
-    LayerNormParams,
     MlpParams,
     PipelineConfig,
     QueryGrid,
@@ -88,12 +87,7 @@ def _init_steb(rng, channels: int, heads: int) -> StebParams:
                            w_v=w_v, b_v=b_v, w_o=w_o, b_o=b_o)
     hidden = channels * _MLP_RATIO
     mlp = _init_mlp(rng, [channels, hidden, channels], ["gelu", "none"])
-    ones = np.ones(channels, np.float32)
-    zeros = np.zeros(channels, np.float32)
-    return StebParams(norm1=LayerNormParams(ones.copy(), zeros.copy()),
-                      attn=attn,
-                      norm2=LayerNormParams(ones.copy(), zeros.copy()),
-                      mlp=mlp)
+    return StebParams(attn=attn, mlp=mlp)
 
 
 # Fixed architecture sizes; no caller varies them.

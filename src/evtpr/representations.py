@@ -17,6 +17,7 @@ upper tap are a prefix of the window, found by one binary search.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -77,10 +78,16 @@ def build_voxel_grid(stream: EventStream, M: int, t0: float, t1: float) -> Voxel
     Each in-window event lands at normalized coordinate
     tau = M*(t-t0)/(t1-t0) - 0.5 and splats p*(1-|tau-k|) into the one or
     two nearest bins. tau is clamped into [0, M-1] so that boundary events
-    keep their full weight and signed mass is conserved exactly.
+    keep their full weight and signed mass is conserved exactly. A grid
+    whose byte size numpy cannot represent raises InvalidInputError.
     """
     if M < 1:
         raise InvalidInputError("bin count M must be >= 1")
+    hw = stream.sensor_height * stream.sensor_width
+    # the float64 grid must have a byte size numpy can represent
+    if int(M) * hw > np.iinfo(np.intp).max // 8:
+        raise InvalidInputError("%d bins of a %dx%d sensor are too many for one array"
+                                % (M, stream.sensor_width, stream.sensor_height))
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise InvalidInputError("voxel window bounds must be finite")
     if t0 >= t1:
@@ -95,7 +102,6 @@ def build_voxel_grid(stream: EventStream, M: int, t0: float, t1: float) -> Voxel
     np.clip(tau, 0.0, M - 1.0, out=tau)
     k = tau.astype(np.int64)  # floor, as tau >= 0
     frac = np.subtract(tau, k, out=tau)
-    hw = stream.sensor_height * stream.sensor_width
     # k is non-decreasing on the time-sorted window, so the events with an
     # upper tap (k < M-1) are its first n_up
     n, n_up = len(k), int(np.searchsorted(k, M - 1))
@@ -130,10 +136,7 @@ def build_tpr(stream: EventStream, center_t: float, half_window: float,
         raise InvalidInputError("attenuation r must be finite and exceed 1")
     if not 0 < half_window < math.inf:
         raise InvalidInputError("half_window must be positive and finite")
-    if 2.0 * half_window / float(attenuation) ** levels < 1.0:
-        raise InvalidInputError(
-            "finest level window narrower than 1 microsecond (granularity "
-            "exceeds the timestamp clock)")
+    _check_finest_window(half_window, levels, attenuation)
     planes = []
     for level in range(1, levels + 1):
         h = half_window / float(attenuation) ** level
@@ -161,6 +164,10 @@ def tpr_granularity(half_window_s: Number, levels: int, moments_per_level: int,
     r = _as_fraction(attenuation)
     if r <= 1:
         raise InvalidInputError("attenuation r must exceed 1")
+    # build_tpr's rule, on the window cmd_tpr hands it, before the exact
+    # r^L, whose digits grow with L
+    _check_finest_window(float(hw) * 1e6 if hw <= sys.float_info.max else math.inf,
+                         levels, r)
     delta = 2 * hw / (moments_per_level * r ** levels)
     return GranularitySpec(
         half_window_s=hw,
@@ -169,6 +176,19 @@ def tpr_granularity(half_window_s: Number, levels: int, moments_per_level: int,
         attenuation=r,
         delta_t=delta,
     )
+
+
+def _check_finest_window(half_window_us: float, levels: int, attenuation: Number) -> None:
+    """Raise unless the finest level's window, 2 * half_window / r^L in
+    floats, spans at least the 1 microsecond timestamp clock."""
+    try:
+        narrow = 2.0 * half_window_us / float(attenuation) ** levels < 1.0
+    except OverflowError:  # r or r^L beyond the float range
+        narrow = True
+    if narrow:
+        raise InvalidInputError(
+            "finest level window narrower than 1 microsecond (granularity "
+            "exceeds the timestamp clock)")
 
 
 def _as_fraction(v: Number) -> Fraction:

@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from evtpr.errors import InvalidInputError, NumericError
 from evtpr.kernels import (
@@ -85,16 +85,15 @@ def conv1x1(x: np.ndarray, params: ConvParams) -> np.ndarray:
     return (out + b.astype(np.float32)[:, None, None]).astype(np.float32)
 
 
-def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-               eps: float = 1e-5) -> np.ndarray:
-    """Per-token normalization over the last axis; constant rows map to 0."""
+def layer_norm(x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+    """Per-token normalization over the last axis, without gain or bias;
+    constant rows map to 0."""
     if eps <= 0:
         raise InvalidInputError("eps must be positive")
     x64 = x.astype(np.float64)
     mean = x64.mean(axis=-1, keepdims=True)
     var = x64.var(axis=-1, keepdims=True)
-    normed = (x64 - mean) / np.sqrt(var + eps)
-    return (normed * gamma + beta).astype(np.float32)
+    return ((x64 - mean) / np.sqrt(var + eps)).astype(np.float32)
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -103,13 +102,10 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return (e / e.sum(axis=-1, keepdims=True)).astype(np.float32)
 
 
-def multi_head_self_attention(x: np.ndarray, params: AttentionParams,
-                              row_sum_dev: Optional[list] = None) -> np.ndarray:
+def multi_head_self_attention(x: np.ndarray, params: AttentionParams) -> np.ndarray:
     """softmax(Q K^T / sqrt(d)) V per head, with output projection.
 
-    Works on ... x N x C inputs (leading axes are batched). When
-    `row_sum_dev` is given, the max |row sum - 1| of the softmax is
-    appended to it.
+    Works on ... x N x C inputs (leading axes are batched).
     """
     if x.shape[-1] != params.channels:
         raise InvalidInputError("input channels do not match attention parameters")
@@ -131,10 +127,7 @@ def multi_head_self_attention(x: np.ndarray, params: AttentionParams,
     scores = (q @ np.swapaxes(k, -1, -2)) / np.float32(math.sqrt(d))
     if not np.all(np.isfinite(scores)):
         raise NumericError("non-finite attention scores")
-    attn = _softmax(scores)
-    if row_sum_dev is not None:
-        row_sum_dev.append(float(np.abs(attn.astype(np.float64).sum(-1) - 1.0).max()))
-    out = attn @ v
+    out = _softmax(scores) @ v
     out = np.moveaxis(out, -3, -2).reshape(lead + (n, h * d))
     out = out @ params.w_o.T.astype(np.float32) + params.b_o.astype(np.float32)
     if not np.all(np.isfinite(out)):
@@ -215,39 +208,34 @@ def window_unpartition(windows: np.ndarray, M: int, l: int, h: int, w: int) -> n
 
 
 def steb_forward(x: np.ndarray, params: StebParams, M: int,
-                 shifted: bool = False,
-                 row_sum_dev: Optional[list] = None) -> np.ndarray:
+                 shifted: bool = False) -> np.ndarray:
     """Shift -> partition -> LN+windowed MHSA (residual) -> LN+MLP (residual)
     -> unpartition -> inverse shift. Output shape equals input shape."""
     l, c, h, w = x.shape
     if shifted:
         x = cyclic_shift(x, -(M // 2))
     tokens = window_partition(x, M)
-    y = tokens + multi_head_self_attention(
-        layer_norm(tokens, params.norm1.gamma, params.norm1.beta),
-        params.attn, row_sum_dev=row_sum_dev)
-    y = y + mlp_forward(layer_norm(y, params.norm2.gamma, params.norm2.beta),
-                        params.mlp)
+    y = tokens + multi_head_self_attention(layer_norm(tokens), params.attn)
+    y = y + mlp_forward(layer_norm(y), params.mlp)
     out = window_unpartition(y, M, l, h, w)
     if shifted:
         out = cyclic_shift(out, M // 2)
     return out
 
 
-def regional_extractor_forward(tpr: np.ndarray, params: RegionalParams, M: int,
-                               row_sum_dev: Optional[list] = None) -> np.ndarray:
+def regional_extractor_forward(tpr: np.ndarray, params: RegionalParams,
+                               M: int) -> np.ndarray:
     """TPR L x M_p x H x W -> features L x C_r x H x W via 1x1 lift + STEBs."""
     if tpr.ndim != 4:
         raise InvalidInputError("TPR tensor must be L x M_p x H x W")
     x = conv1x1(tpr, params.lift)
     for i, block in enumerate(params.blocks):
-        x = steb_forward(x, block, M, shifted=bool(i % 2), row_sum_dev=row_sum_dev)
+        x = steb_forward(x, block, M, shifted=bool(i % 2))
     return x
 
 
 def holistic_extractor_forward(frames: np.ndarray, segments: Sequence[np.ndarray],
-                               params: HolisticParams, M: int,
-                               row_sum_dev: Optional[list] = None) -> np.ndarray:
+                               params: HolisticParams, M: int) -> np.ndarray:
     """Multi-scale encoder/decoder over lifted frames and event segments.
 
     frames: N_in x 3 x H x W; segments: N_in - 1 voxel grids, each
@@ -271,11 +259,11 @@ def holistic_extractor_forward(frames: np.ndarray, segments: Sequence[np.ndarray
 
     skips = []
     for block, down in zip(params.encoder_blocks, params.downs):
-        x = steb_forward(x, block, M, row_sum_dev=row_sum_dev)
+        x = steb_forward(x, block, M)
         skips.append(x)
         x = downsample_half(x, down)
     for block, up, skip in zip(params.decoder_blocks, params.ups, reversed(skips)):
-        x = steb_forward(x, block, M, shifted=True, row_sum_dev=row_sum_dev)
+        x = steb_forward(x, block, M, shifted=True)
         x = upsample_double(x, up) + skip
     return x
 

@@ -37,6 +37,22 @@ def rgb_ramp_clip(n=4, h=16, w=16):
             for f in frames]
 
 
+def run_main_limited(argv, timeout=120):
+    """evtpr.cli.main(argv) in a subprocess whose address space is capped at
+    1.5 GB, so a huge allocation fails there rather than exhausting memory."""
+    pytest.importorskip("resource")
+    limit = 1536 << 20
+    code = ("import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (%d, %d)); "
+            "from evtpr.cli import main; sys.exit(main(sys.argv[1:]))" % (limit, limit))
+    src = str(Path(evtpr.__file__).resolve().parents[1])
+    # one OpenBLAS thread: its per-thread buffers stay out of the limit
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
 class TestSimulate:
     def test_constant_clip_gives_empty_file(self, tmp_path):
         frames = [IntensityFrame(timestamp=i * 100, pixels=np.full((8, 8), 0.5))
@@ -204,21 +220,10 @@ class TestPlan:
     def test_huge_manifest_is_streamed(self):
         # 10**8 windows: a list of their plans would outgrow the address-space
         # limit; line by line, the first flush to /dev/full is a usage error
-        pytest.importorskip("resource")
         if not os.path.exists("/dev/full"):
             pytest.skip("no /dev/full to write to")
-        limit = 1536 << 20
-        code = ("import resource, sys; "
-                "resource.setrlimit(resource.RLIMIT_AS, (%d, %d)); "
-                "from evtpr.cli import main; sys.exit(main(sys.argv[1:]))" % (limit, limit))
-        src = str(Path(evtpr.__file__).resolve().parents[1])
-        # one OpenBLAS thread: its per-thread buffers stay out of the limit
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        run = subprocess.run(
-            [sys.executable, "-c", code, "plan", "--frames", "100000000", "--nin", "2",
-             "--skip", "0", "--stride", "1", "-o", "/dev/full"],
-            capture_output=True, text=True, env=env, timeout=120)
+        run = run_main_limited(["plan", "--frames", "100000000", "--nin", "2",
+                                "--skip", "0", "--stride", "1", "-o", "/dev/full"])
         assert run.returncode == 2, run.stderr
         assert run.stderr.startswith("usage error: ") and run.stderr.count("\n") == 1
 
@@ -511,6 +516,65 @@ class TestNonFiniteFlags:
         assert main(argv) == 4
         assert_one_line_error(capsys, "contract violation: ")
         assert not out.exists()
+
+
+class TestTooLargeFlags:
+    # flag values whose arrays no machine could hold
+    @pytest.mark.parametrize("argv", [
+        ["voxelize", "{events}", "--bins", "100000000000"],
+        ["tpr", "{events}", "--L", "3", "--Mp", "100000000000", "--r", "3",
+         "--half-window", "0.001s"],
+        ["simulate", "{clip}", "--threshold", "1e-12"],
+        ["plan", "--frames", "2000000000000", "--nin", "2", "--skip", "999999999999"],
+        ["plan", "--frames", "2000000000000", "--nin", "1000000000000", "--skip", "0"],
+    ], ids=["voxelize-bins", "tpr-moments", "simulate-threshold", "plan-skip",
+            "plan-nin"])
+    def test_out_of_memory_exits_4(self, rgb_clip, tmp_path, argv):
+        d, events = rgb_clip
+        run = run_main_limited([a.format(clip=d, events=events) for a in argv]
+                               + ["-o", str(tmp_path / "out")])
+        assert run.returncode == 4, run.stderr
+        assert run.stderr.startswith("contract violation: the input needs more "
+                                     "memory than is available")
+        assert run.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("flags,bins", [
+        (["voxelize", "--bins"], "10000000000000000"),
+        (["voxelize", "--bins"], "100000000000000000000"),
+        (["tpr", "--L", "3", "--r", "3", "--half-window", "0.001s", "--Mp"],
+         "100000000000000000000"),
+    ], ids=["voxelize-bins-1e16", "voxelize-bins-1e20", "tpr-moments-1e20"])
+    def test_voxel_grid_numpy_cannot_size(self, rgb_clip, tmp_path, capsys, flags, bins):
+        _, events = rgb_clip
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([flags[0], str(events), *flags[1:], bins, "-o", str(out)]) == 4
+        assert_one_line_error(capsys, "contract violation: %s bins of a 16x16 sensor"
+                              % bins)
+        assert not out.exists()
+
+    def test_simulate_crossings_beyond_int64(self, rgb_clip, tmp_path, capsys):
+        d, _ = rgb_clip
+        out = tmp_path / "e.evt"
+        capsys.readouterr()
+        assert main(["simulate", str(d), "--threshold", "1e-300", "-o", str(out)]) == 4
+        assert_one_line_error(capsys, "contract violation: threshold 1e-300 gives ")
+        assert not out.exists()
+
+    def test_granularity_of_huge_levels(self, capsys):
+        # r^L has 47,713 digits, beyond str(int)'s limit
+        assert main(["tpr", "--L", "100000", "--Mp", "2", "--r", "3",
+                     "--half-window", "0.001s", "--print-granularity"]) == 4
+        assert_one_line_error(capsys, "contract violation: finest level window")
+
+    def test_granularity_of_huge_levels_is_refused_at_once(self):
+        # the exact 3^(10^9) would take far longer than the timeout
+        run = run_main_limited(["tpr", "--L", "1000000000", "--Mp", "2", "--r", "3",
+                                "--half-window", "0.001s", "--print-granularity"],
+                               timeout=30)
+        assert run.returncode == 4, run.stderr
+        assert run.stderr.startswith("contract violation: finest level window")
+        assert run.stderr.count("\n") == 1
 
 
 class TestUsageErrors:

@@ -22,7 +22,6 @@ from evtpr.kernels import (
     _taps,
     AttentionParams,
     ConvParams,
-    LayerNormParams,
     MlpParams,
     QueryGrid,
     StebParams,
@@ -152,7 +151,7 @@ class TestGelu:
 class TestLayerNorm:
     def test_constant_row_maps_to_zero(self):
         x = np.full((3, 8), 2.5, np.float32)
-        out = layer_norm(x, np.ones(8, np.float32), np.zeros(8, np.float32))
+        out = layer_norm(x)
         assert np.allclose(out, 0.0, atol=1e-5)
 
     @pytest.mark.parametrize("width", [3, 5, 12, 17])
@@ -161,25 +160,25 @@ class TestLayerNorm:
         # a float32 mean of these rows is inexact at widths 5 and 12, and
         # the centred row then normalizes to ~1e-4 instead of 0
         x = np.full((4, width), value, np.float32)
-        out = layer_norm(x, np.ones(width, np.float32), np.zeros(width, np.float32))
+        out = layer_norm(x)
         assert np.abs(out).max() <= 1e-6
 
     def test_float32_output_input_untouched(self):
         x = np.random.default_rng(12).standard_normal((6, 4, 16)).astype(np.float32)
         before = x.copy()
-        out = layer_norm(x, np.full(16, 2.0), np.full(16, 0.5))
+        out = layer_norm(x)
         assert out.dtype == np.float32
         assert np.array_equal(x, before)
 
     def test_unit_stats(self):
         x = np.random.default_rng(2).standard_normal((10, 32)).astype(np.float32)
-        out = layer_norm(x, np.ones(32, np.float32), np.zeros(32, np.float32))
+        out = layer_norm(x)
         assert np.abs(out.mean(axis=-1)).max() <= 1e-6
         assert np.abs(out.var(axis=-1) - 1.0).max() <= 1e-4
 
     def test_known_four_vector(self):
         x = np.array([[1.0, 2.0, 3.0, 4.0]], np.float32)
-        out = layer_norm(x, np.ones(4, np.float32), np.zeros(4, np.float32))
+        out = layer_norm(x)
         std = math.sqrt(1.25 + 1e-5)
         expected = [(v - 2.5) / std for v in (1, 2, 3, 4)]
         assert np.allclose(out[0], expected, atol=1e-6)
@@ -288,8 +287,7 @@ def zero_bias_steb(c, heads, seed=0):
                     biases=(zero(params.mlp.biases[0]),
                             zero(params.mlp.biases[1])),
                     activations=params.mlp.activations)
-    return StebParams(norm1=params.norm1, attn=attn, norm2=params.norm2,
-                      mlp=mlp)
+    return StebParams(attn=attn, mlp=mlp)
 
 
 class TestSteb:
@@ -315,12 +313,8 @@ class TestSteb:
         # straight-line composition of the public kernels
         y = cyclic_shift(x, -2)
         tokens = window_partition(y, 4)
-        tokens = tokens + multi_head_self_attention(
-            layer_norm(tokens, params.norm1.gamma, params.norm1.beta),
-            params.attn)
-        tokens = tokens + mlp_forward(
-            layer_norm(tokens, params.norm2.gamma, params.norm2.beta),
-            params.mlp)
+        tokens = tokens + multi_head_self_attention(layer_norm(tokens), params.attn)
+        tokens = tokens + mlp_forward(layer_norm(tokens), params.mlp)
         ref = cyclic_shift(window_unpartition(tokens, 4, 1, 4, 4), 2)
         assert np.array_equal(out, ref)  # bit-identical
 
@@ -348,12 +342,8 @@ class TestSteb:
         # every block, the ragged tail included, against one unblocked pass
         y = cyclic_shift(x, -2) if shifted else x
         tokens = window_partition(y, 4)
-        tokens = tokens + multi_head_self_attention(
-            layer_norm(tokens, params.norm1.gamma, params.norm1.beta),
-            params.attn)
-        tokens = tokens + mlp_forward(
-            layer_norm(tokens, params.norm2.gamma, params.norm2.beta),
-            params.mlp)
+        tokens = tokens + multi_head_self_attention(layer_norm(tokens), params.attn)
+        tokens = tokens + mlp_forward(layer_norm(tokens), params.mlp)
         ref = window_unpartition(tokens, 4, 5, 64, 64)
         if shifted:
             ref = cyclic_shift(ref, 2)

@@ -106,6 +106,12 @@ class TestTemporalPyramid:
         with pytest.raises(InvalidInputError):
             build_tpr(stream, 500, 10, 7, 2, 3.0)  # 2*10/3^7 << 1 us
 
+    def test_ratio_power_beyond_float_range_rejected(self, rng):
+        # 3.0 ** 10**9 overflows a float; r^L that large is a degenerate window
+        stream = random_stream(rng, n=10)
+        with pytest.raises(InvalidInputError):
+            build_tpr(stream, 500, 1000.0, 10 ** 9, 2, 3.0)
+
 
 class TestGranularity:
     @pytest.mark.parametrize("levels,moments,expected", [
@@ -142,3 +148,11 @@ class TestGranularity:
             tpr_granularity(Fraction(1, 2), 3, 3, 1)
         with pytest.raises(InvalidInputError):
             tpr_granularity(0, 3, 3, 3)
+
+    @pytest.mark.parametrize("levels,ratio", [(13, 3), (1, Fraction(10 ** 400))],
+                             ids=["levels", "ratio-beyond-float"])
+    def test_finest_window_below_microsecond(self, levels, ratio):
+        # as build_tpr: 2 * 0.5 s / 3^13 is 0.63 us, below the timestamp
+        # clock; r = 10^400 is beyond the float range, and so is r^L
+        with pytest.raises(InvalidInputError):
+            tpr_granularity(Fraction(1, 2), levels, 2, ratio)
