@@ -157,9 +157,14 @@ def cmd_plan(args) -> int:
     # a line per window start, not a list of plans: a huge --frames costs
     # time and disk, never memory
     starts = dataset.window_starts(args.frames, args.nin, args.skip, args.stride)
+    lines = (dataset.manifest_line(dataset.window_plan(start, args.nin, args.skip))
+             for start in starts)
+    # the first line before the output opens: a window too large to plan
+    # leaves no file behind
+    first = next(lines, "")
     with open(args.output, "w") as fh:
-        for start in starts:
-            fh.write(dataset.manifest_line(dataset.window_plan(start, args.nin, args.skip)))
+        fh.write(first)
+        fh.writelines(lines)
     print("planned %d windows -> %s" % (len(starts), args.output))
     return EXIT_OK
 

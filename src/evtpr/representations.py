@@ -29,6 +29,11 @@ from .events import EventStream
 
 Number = Union[int, float, Fraction]
 
+# tpr_granularity's exact r^L may have this many digits: the CLI prints the
+# granularity, and by default Python refuses to convert an int of more
+# than 4300 digits to a string
+_MAX_POWER_DIGITS = 4000
+
 
 @dataclass(frozen=True)
 class VoxelGrid:
@@ -168,6 +173,13 @@ def tpr_granularity(half_window_s: Number, levels: int, moments_per_level: int,
     # r^L, whose digits grow with L
     _check_finest_window(float(hw) * 1e6 if hw <= sys.float_info.max else math.inf,
                          levels, r)
+    # r^L of an r close to 1 passes that rule, yet its exact digits grow
+    # with L and with r's precision: bound them before forming it
+    digits = _digits(levels * max(r.numerator.bit_length(), r.denominator.bit_length()))
+    if digits > _MAX_POWER_DIGITS:
+        raise InvalidInputError(
+            "--L %d and --r give an exact r^L of up to %d digits; at most %d "
+            "are supported" % (levels, digits, _MAX_POWER_DIGITS))
     delta = 2 * hw / (moments_per_level * r ** levels)
     return GranularitySpec(
         half_window_s=hw,
@@ -176,6 +188,11 @@ def tpr_granularity(half_window_s: Number, levels: int, moments_per_level: int,
         attenuation=r,
         delta_t=delta,
     )
+
+
+def _digits(bits: int) -> int:
+    """Decimal digits of a bits-bit integer, rounded up."""
+    return -(-bits * 30103 // 100000)
 
 
 def _check_finest_window(half_window_us: float, levels: int, attenuation: Number) -> None:

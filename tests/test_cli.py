@@ -531,12 +531,14 @@ class TestTooLargeFlags:
             "plan-nin"])
     def test_out_of_memory_exits_4(self, rgb_clip, tmp_path, argv):
         d, events = rgb_clip
+        out = tmp_path / "out"
         run = run_main_limited([a.format(clip=d, events=events) for a in argv]
-                               + ["-o", str(tmp_path / "out")])
+                               + ["-o", str(out)])
         assert run.returncode == 4, run.stderr
         assert run.stderr.startswith("contract violation: the input needs more "
                                      "memory than is available")
         assert run.stderr.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags,bins", [
         (["voxelize", "--bins"], "10000000000000000"),
@@ -574,6 +576,23 @@ class TestTooLargeFlags:
                                timeout=30)
         assert run.returncode == 4, run.stderr
         assert run.stderr.startswith("contract violation: finest level window")
+        assert run.stderr.count("\n") == 1
+
+    def test_granularity_of_r_near_one(self, capsys):
+        # r^L passes the finest-window rule, but the exact r^L has 24,083
+        # digits, beyond str(int)'s limit
+        assert main(["tpr", "--L", "2000", "--Mp", "2", "--r", "1.000000000001",
+                     "--half-window", "1000s", "--print-granularity"]) == 4
+        assert_one_line_error(capsys, "contract violation: --L 2000 and --r give "
+                              "an exact r^L of up to 24083 digits")
+
+    def test_granularity_of_r_near_one_is_refused_at_once(self):
+        # r^L is about 1.0001, but the exact r^L would have 1.2 billion digits
+        run = run_main_limited(["tpr", "--L", "100000000", "--Mp", "2",
+                                "--r", "1.000000000001", "--half-window", "1000s",
+                                "--print-granularity"], timeout=30)
+        assert run.returncode == 4, run.stderr
+        assert run.stderr.startswith("contract violation: --L 100000000 and --r ")
         assert run.stderr.count("\n") == 1
 
 

@@ -1,5 +1,6 @@
 import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from evtpr.io_formats import (
     EVENT_RECORD,
     EVENT_VERSION,
     TENSOR_MAGIC,
+    _EVENT_CHUNK,
     read_events,
     read_frame,
     read_tensor,
@@ -40,6 +42,36 @@ class Unseekable(io.RawIOBase):
 
     def readinto(self, b):
         return self._src.readinto(b)
+
+
+class Shrunk(io.BytesIO):
+    """A file cut short after its size was taken: SEEK_END still reports
+    the full size, so only the reads find the end."""
+
+    def __init__(self, data: bytes, size: int):
+        super().__init__(data)
+        self._size = size
+
+    def seek(self, pos, whence=io.SEEK_SET):
+        if whence == io.SEEK_END:
+            return self._size + pos
+        return super().seek(pos, whence)
+
+
+class Trickle(io.BytesIO):
+    """A seekable source whose every read returns at most 4099 bytes."""
+
+    def readinto(self, b):
+        return super().readinto(memoryview(b)[:4099])
+
+
+def packed_events(stream) -> bytes:
+    """EVT1 bytes of a stream, written one EVENT_RECORD.pack per record."""
+    head = EVENT_HEADER.pack(EVENT_MAGIC, EVENT_VERSION, stream.sensor_width,
+                             stream.sensor_height, len(stream), stream.t_begin,
+                             stream.t_end)
+    cols = (stream.t.tolist(), stream.x.tolist(), stream.y.tolist(), stream.p.tolist())
+    return head + b"".join(EVENT_RECORD.pack(*rec) for rec in zip(*cols))
 
 
 def streams_equal(a, b):
@@ -117,6 +149,76 @@ class TestEventCodec:
             with pytest.raises(FormatError):
                 read_events(io.BytesIO(bytes(body)))
 
+C = _EVENT_CHUNK
+
+
+class TestEventChunks:
+    COUNTS = [0, 1, C - 1, C, C + 1, 2 * C + 3]
+
+    @staticmethod
+    def stream(n):
+        # x reaches the u16 range and t the int64 range
+        return random_stream(np.random.default_rng(n), h=3, w=2 ** 16 - 1, n=n,
+                             t_end=2 ** 63 - 1)
+
+    @pytest.mark.parametrize("n", COUNTS)
+    def test_round_trip_matches_per_record_writer(self, n):
+        stream = self.stream(n)
+        raw, back = round_trip_events(stream)
+        assert raw == packed_events(stream)
+        pad = np.frombuffer(raw, np.uint8, offset=EVENT_HEADER.size).reshape(-1, 16)[:, 13:]
+        assert not pad.any()
+        assert streams_equal(back, stream)
+        for name in ("t", "x", "y", "p"):
+            assert getattr(back, name).dtype == getattr(stream, name).dtype
+
+    @pytest.mark.parametrize("n", COUNTS)
+    def test_unseekable_and_short_reads(self, n):
+        stream = self.stream(n)
+        raw = packed_events(stream)
+        assert streams_equal(read_events(Unseekable(raw)), stream)
+        assert streams_equal(read_events(Trickle(raw)), stream)
+
+    def test_truncated_inside_a_later_chunk(self):
+        raw = packed_events(self.stream(2 * C + 3))
+        cut = raw[:EVENT_HEADER.size + (C + 5) * EVENT_RECORD.size + 7]
+        for src in (io.BytesIO(cut), Unseekable(cut), Shrunk(cut, len(raw))):
+            with pytest.raises(FormatError, match="truncated event payload"):
+                read_events(src)
+
+    @pytest.mark.parametrize("t,x,message", [
+        (2 ** 63, 0, "event t outside"),
+        (2 ** 64 - 1, 0, "event t outside"),
+        (5, 4, "event x outside"),
+    ], ids=["t-2^63", "t-2^64-1", "x-width"])
+    def test_out_of_range_record(self, t, x, message):
+        # a u64 t >= 2**63 wraps to a negative int64, which the range
+        # check rejects, in the last record of a later chunk
+        good = EVENT_RECORD.pack(0, 0, 0, 1)
+        raw = (EVENT_HEADER.pack(EVENT_MAGIC, EVENT_VERSION, 4, 4, C + 2, 0, 10)
+               + good * (C + 1) + EVENT_RECORD.pack(t, x, 0, 1))
+        for src in (io.BytesIO(raw), Unseekable(raw)):
+            with pytest.raises(FormatError, match=message):
+                read_events(src)
+
+    def test_memory_does_not_grow_with_the_file(self, tmp_path):
+        stream = random_stream(np.random.default_rng(1), h=64, w=64, n=1_000_000)
+        arrays = sum(getattr(stream, name).nbytes for name in ("t", "x", "y", "p"))
+        path = tmp_path / "big.evt"
+        tracemalloc.start()
+        try:
+            write_events(stream, path)
+            write_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            back = read_events(path)
+            read_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert write_peak <= 2 << 20
+        assert read_peak <= arrays + (2 << 20)
+        assert streams_equal(back, stream)
+
+
 class TestTensorCodec:
     def test_scalar_size_arithmetic(self):
         buf = io.BytesIO()
@@ -170,6 +272,12 @@ class TestTensorCodec:
         path.write_bytes(TENSOR_MAGIC + struct.pack("<I", 2 ** 32 - 1))
         with pytest.raises(FormatError, match="truncated tensor dims"):
             read_tensor(str(path))
+
+    def test_empty_shape_beyond_numpy_size(self):
+        # the payload is empty, but numpy cannot make the shape
+        raw = TENSOR_MAGIC + struct.pack("<5I", 4, 0, 2 ** 31, 2 ** 31, 2 ** 31)
+        with pytest.raises(FormatError, match="tensor dims"):
+            read_tensor(io.BytesIO(raw))
 
     def test_empty_dimension_round_trip(self):
         buf = io.BytesIO()
