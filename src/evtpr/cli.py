@@ -1,4 +1,4 @@
-"""Batch command-line surface: simulate, voxelize, tpr, reconstruct, plan,
+"""Batch command-line surface: simulate, voxelize, tpr, reconstruct,
 pipeline, metrics.
 
 Exit codes: 0 success, 2 usage error, 3 format error, 4 numeric/contract
@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataset, io_formats, metrics, representations
+from . import io_formats, metrics, representations
 from .errors import FormatError, InvalidInputError, NumericError
 from .events import (
     LOG_EPS,
@@ -153,22 +153,6 @@ def cmd_reconstruct(args) -> int:
     return EXIT_OK
 
 
-def cmd_plan(args) -> int:
-    # a line per window start, not a list of plans: a huge --frames costs
-    # time and disk, never memory
-    starts = dataset.window_starts(args.frames, args.nin, args.skip, args.stride)
-    lines = (dataset.manifest_line(dataset.window_plan(start, args.nin, args.skip))
-             for start in starts)
-    # the first line before the output opens: a window too large to plan
-    # leaves no file behind
-    first = next(lines, "")
-    with open(args.output, "w") as fh:
-        fh.write(first)
-        fh.writelines(lines)
-    print("planned %d windows -> %s" % (len(starts), args.output))
-    return EXIT_OK
-
-
 def cmd_pipeline(args) -> int:
     frames = _load_clip(args.frames_dir, args.timestamps)
     stream = io_formats.read_events(args.events)
@@ -267,15 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, required=True)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_reconstruct)
-
-    p = sub.add_parser("plan", help="emit a sliding-window manifest")
-    p.add_argument("--frames", type=_int_at_least(0, "a non-negative integer"),
-                   required=True)
-    p.add_argument("--nin", type=int, required=True)
-    p.add_argument("--skip", type=int, required=True)
-    p.add_argument("--stride", type=int, default=None)
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("pipeline", help="run the forward decoding pipeline")
     p.add_argument("frames_dir")

@@ -29,10 +29,10 @@ from .events import EventStream
 
 Number = Union[int, float, Fraction]
 
-# tpr_granularity's exact r^L may have this many digits: the CLI prints the
-# granularity, and by default Python refuses to convert an int of more
-# than 4300 digits to a string
-_MAX_POWER_DIGITS = 4000
+# tpr_granularity's exact result may have this many digits in its numerator
+# and in its denominator: the CLI prints it, and by default Python refuses
+# to convert an int of more than 4300 digits to a string
+_MAX_GRANULARITY_DIGITS = 4000
 
 
 @dataclass(frozen=True)
@@ -173,13 +173,19 @@ def tpr_granularity(half_window_s: Number, levels: int, moments_per_level: int,
     # r^L, whose digits grow with L
     _check_finest_window(float(hw) * 1e6 if hw <= sys.float_info.max else math.inf,
                          levels, r)
-    # r^L of an r close to 1 passes that rule, yet its exact digits grow
-    # with L and with r's precision: bound them before forming it
-    digits = _digits(levels * max(r.numerator.bit_length(), r.denominator.bit_length()))
-    if digits > _MAX_POWER_DIGITS:
+    # r^L of an r close to 1 passes that rule, yet the exact result's digits
+    # grow with L, with r's precision and with the half window's: bound the
+    # numerator 2*a*q^L and denominator b*M_p*p^L (hw = a/b, r = p/q) before
+    # forming them
+    power_bits = levels * max(r.numerator.bit_length(), r.denominator.bit_length())
+    bits = (power_bits + hw.numerator.bit_length() + hw.denominator.bit_length()
+            + moments_per_level.bit_length() + 1)
+    if _digits(bits) > _MAX_GRANULARITY_DIGITS:
         raise InvalidInputError(
-            "--L %d and --r give an exact r^L of up to %d digits; at most %d "
-            "are supported" % (levels, digits, _MAX_POWER_DIGITS))
+            "--L %d and --r give an exact r^L of up to %d digits, and with "
+            "--half-window and --Mp a granularity of up to %d; at most %d are "
+            "supported" % (levels, _digits(power_bits), _digits(bits),
+                           _MAX_GRANULARITY_DIGITS))
     delta = 2 * hw / (moments_per_level * r ** levels)
     return GranularitySpec(
         half_window_s=hw,

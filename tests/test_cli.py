@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,6 @@ import pytest
 import evtpr
 from evtpr import IntensityFrame, simulate_events
 from evtpr.cli import build_parser, main
-from evtpr.dataset import parse_manifest
 from evtpr.io_formats import read_events, read_frame, read_tensor, write_frame
 
 from conftest import make_ramp_clip
@@ -193,41 +193,6 @@ class TestReconstruct:
         assert code == 4
 
 
-class TestPlan:
-    def test_four_inputs_skip_seven_window(self, tmp_path):
-        out = tmp_path / "manifest.txt"
-        assert main(["plan", "--frames", "25", "--nin", "4", "--skip", "7",
-                     "-o", str(out)]) == 0
-        plans = parse_manifest(out.read_text())
-        assert plans[0].window_size == 25
-        assert plans[0].input_indices == (1, 9, 17, 25)
-
-    def test_short_clip_empty_manifest(self, tmp_path):
-        out = tmp_path / "manifest.txt"
-        assert main(["plan", "--frames", "10", "--nin", "4", "--skip", "7",
-                     "-o", str(out)]) == 0
-        assert out.read_text() == ""
-
-    def test_manifest_round_trips(self, tmp_path, capsys):
-        out = tmp_path / "manifest.txt"
-        main(["plan", "--frames", "60", "--nin", "3", "--skip", "2",
-              "--stride", "5", "-o", str(out)])
-        plans = parse_manifest(out.read_text())
-        from evtpr.dataset import format_manifest
-        assert format_manifest(plans) == out.read_text()
-        assert capsys.readouterr().out.startswith("planned %d windows" % len(plans))
-
-    def test_huge_manifest_is_streamed(self):
-        # 10**8 windows: a list of their plans would outgrow the address-space
-        # limit; line by line, the first flush to /dev/full is a usage error
-        if not os.path.exists("/dev/full"):
-            pytest.skip("no /dev/full to write to")
-        run = run_main_limited(["plan", "--frames", "100000000", "--nin", "2",
-                                "--skip", "0", "--stride", "1", "-o", "/dev/full"])
-        assert run.returncode == 2, run.stderr
-        assert run.stderr.startswith("usage error: ") and run.stderr.count("\n") == 1
-
-
 @pytest.fixture
 def rgb_clip(tmp_path):
     """A 16x16 RGB clip directory and its events file."""
@@ -323,6 +288,15 @@ class TestErrorCodes:
         assert main(["voxelize", str(bad), "--bins", "3",
                      "-o", str(tmp_path / "g.tns")]) == 3
 
+    def test_failed_write_is_usage_error(self, rgb_clip, capsys):
+        # the OSError of a full device, raised by the output's flush
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full to write to")
+        _, events = rgb_clip
+        capsys.readouterr()
+        assert main(["voxelize", str(events), "--bins", "4", "-o", "/dev/full"]) == 2
+        assert_one_line_error(capsys, "usage error: ")
+
     def test_contract_error(self, tmp_path):
         frames = make_ramp_clip(h=8, w=8, n_frames=4)
         d = write_clip(tmp_path, frames)
@@ -371,6 +345,10 @@ class TestOutputDigest:
 
 
 class TestMoreErrorCodes:
+    # a subcommand that reads and writes no file
+    TPR_GRANULARITY = ["tpr", "--L", "3", "--Mp", "2", "--r", "3",
+                       "--half-window", "0.5s", "--print-granularity"]
+
     @pytest.mark.parametrize("ratio", ["abc", "1/0", ""])
     def test_unparseable_ratio_is_usage_error(self, ratio, capsys):
         assert main(["tpr", "--L", "3", "--Mp", "2", "--r", ratio,
@@ -378,21 +356,17 @@ class TestMoreErrorCodes:
         assert "--r" in capsys.readouterr().err
 
     @pytest.mark.parametrize("threads", ["0", "-1", "abc"])
-    def test_bad_threads_flag_is_usage_error(self, threads, tmp_path, capsys):
+    def test_bad_threads_flag_is_usage_error(self, threads, capsys):
         with pytest.raises(SystemExit) as info:
-            main(["--threads", threads, "plan", "--frames", "10", "--nin", "4",
-                  "--skip", "1", "-o", str(tmp_path / "m.txt")])
+            main(["--threads", threads, *self.TPR_GRANULARITY])
         assert info.value.code == 2
         assert "--threads" in capsys.readouterr().err
-        assert not (tmp_path / "m.txt").exists()
 
     @pytest.mark.parametrize("env", ["0", "-2", "abc"])
-    def test_bad_threads_env_is_usage_error(self, env, tmp_path, monkeypatch,
-                                            capsys):
+    def test_bad_threads_env_is_usage_error(self, env, monkeypatch, capsys):
         monkeypatch.setenv("EVTPR_THREADS", env)
         with pytest.raises(SystemExit) as info:
-            main(["plan", "--frames", "10", "--nin", "4", "--skip", "1",
-                  "-o", str(tmp_path / "m.txt")])
+            main(self.TPR_GRANULARITY)
         assert info.value.code == 2
         assert "EVTPR_THREADS" in capsys.readouterr().err
 
@@ -424,10 +398,9 @@ class TestMoreErrorCodes:
         assert "--eps" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_threads_flag_overrides_env(self, tmp_path, monkeypatch):
+    def test_threads_flag_overrides_env(self, monkeypatch):
         monkeypatch.setenv("EVTPR_THREADS", "abc")
-        assert main(["--threads", "2", "plan", "--frames", "10", "--nin", "4",
-                     "--skip", "1", "-o", str(tmp_path / "m.txt")]) == 0
+        assert main(["--threads", "2", *self.TPR_GRANULARITY]) == 0
 
     def test_directory_as_event_file_is_usage_error(self, tmp_path):
         assert main(["voxelize", str(tmp_path), "--bins", "3",
@@ -525,10 +498,7 @@ class TestTooLargeFlags:
         ["tpr", "{events}", "--L", "3", "--Mp", "100000000000", "--r", "3",
          "--half-window", "0.001s"],
         ["simulate", "{clip}", "--threshold", "1e-12"],
-        ["plan", "--frames", "2000000000000", "--nin", "2", "--skip", "999999999999"],
-        ["plan", "--frames", "2000000000000", "--nin", "1000000000000", "--skip", "0"],
-    ], ids=["voxelize-bins", "tpr-moments", "simulate-threshold", "plan-skip",
-            "plan-nin"])
+    ], ids=["voxelize-bins", "tpr-moments", "simulate-threshold"])
     def test_out_of_memory_exits_4(self, rgb_clip, tmp_path, argv):
         d, events = rgb_clip
         out = tmp_path / "out"
@@ -595,6 +565,24 @@ class TestTooLargeFlags:
         assert run.stderr.startswith("contract violation: --L 100000000 and --r ")
         assert run.stderr.count("\n") == 1
 
+    def test_granularity_of_long_half_window(self, capsys):
+        # r^L alone has at most 3998 digits, but the half window's 478-digit
+        # numerator and denominator carry the exact result past the bound
+        half_window = "%d/%d" % (3 ** 1000 + 1, 3 ** 1000)
+        assert main(["tpr", "--L", "332", "--Mp", "2", "--r", "1.000000000001",
+                     "--half-window", half_window, "--print-granularity"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("contract violation: --L 332 and --r ")
+        assert "--half-window" in err and err.count("\n") == 1
+
+    def test_granularity_just_inside_the_digit_bound(self, capsys):
+        # 332 * 40 bits of r^L, 1 + 2 of the half window, 3 of M_p and 1 of
+        # the factor 2: 13287 bits, at most 4000 digits
+        assert main(["tpr", "--L", "332", "--Mp", "4", "--r", "1.000000000001",
+                     "--half-window", "0.5s", "--print-granularity"]) == 0
+        expected = Fraction(1, 4) / Fraction("1.000000000001") ** 332
+        assert capsys.readouterr().out == "%s s\n" % expected
+
 
 class TestUsageErrors:
     def test_tpr_output_without_events_file(self, tmp_path, capsys):
@@ -658,15 +646,6 @@ class TestUsageErrors:
                   "--seed", "-1", "-o", str(out)])
         assert info.value.code == 2
         assert "--seed" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_negative_frames(self, tmp_path, capsys):
-        out = tmp_path / "manifest.txt"
-        with pytest.raises(SystemExit) as info:
-            main(["plan", "--frames", "-10", "--nin", "4", "--skip", "1",
-                  "-o", str(out)])
-        assert info.value.code == 2
-        assert "--frames" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("missing", ["pred", "gt"])

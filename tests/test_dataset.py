@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,10 +7,11 @@ import pytest
 from evtpr import (
     IntensityFrame,
     InvalidInputError,
+    WindowPlan,
     downsample_bicubic,
     plan_windows,
 )
-from evtpr.dataset import format_manifest, parse_manifest, select_gt_frames
+from evtpr.dataset import select_gt_frames
 
 
 def enumerate_window_indices(n_in, skip):
@@ -56,38 +58,27 @@ class TestPlanWindows:
     def test_short_clip_gives_empty_plan(self):
         assert plan_windows(10, 4, 7) == []
 
-    def test_stride(self):
-        plans = plan_windows(30, 2, 1, stride=2)
-        assert [p.start for p in plans] == list(range(1, 29, 2))
-
     def test_normalized_times(self):
         p = plan_windows(25, 4, 7)[0]
         t = p.normalized_times()
         assert t[0] == 0.0 and t[-1] == 1.0
         assert t[12] == pytest.approx(0.5)
 
-    def test_manifest_round_trip(self):
-        plans = plan_windows(60, 3, 2, stride=10)
-        text = format_manifest(plans)
-        assert parse_manifest(text) == plans
-        first = text.splitlines()[0]
-        assert first.startswith("1 7 3 2 inputs=1,4,7 ")
+    @pytest.mark.parametrize("make,args,message", [
+        (plan_windows, (10, 1, 0), "n_in must be >= 2"),
+        (plan_windows, (10, 4, -1), "skip must be >= 0"),
+        (WindowPlan, (1, 1, 0), "n_in must be >= 2"),
+        (WindowPlan, (1, 4, -1), "skip must be >= 0"),
+    ], ids=["plan-nin", "plan-skip", "window-nin", "window-skip"])
+    def test_invalid_window(self, make, args, message):
+        with pytest.raises(InvalidInputError, match=message):
+            make(*args)
 
-    @pytest.mark.parametrize("line", ["1 2 3 x inputs=1 gts=1",
-                                      "1 2 3 4 inputs=1,a gts=1",
-                                      "1 2 3 4 inputs=1 gts="])
-    def test_manifest_non_integer_field(self, line):
-        text = "1 7 3 2 inputs=1,4,7 gts=1,2,3,4,5,6,7\n" + line + "\n"
-        with pytest.raises(InvalidInputError, match=line):
-            parse_manifest(text)
-
-    @pytest.mark.parametrize("line", ["1 99 4 1 inputs=5,6 gts=1,2",
-                                      "1 7 4 1 inputs=1,3,5,6 gts=1,2,3,4,5,6,7",
-                                      "1 7 4 1 inputs=1,3,5,7 gts=1,2",
-                                      "1 3000000000001 4 999999999999 inputs=1 gts=1"])
-    def test_manifest_line_must_match_its_plan(self, line):
-        with pytest.raises(InvalidInputError, match="contradicts its N_in and S"):
-            parse_manifest(line + "\n")
+    def test_plan_stores_start_n_in_and_skip_only(self):
+        p = plan_windows(50, 4, 7)[1]
+        assert dataclasses.astuple(p) == (26, 4, 7)
+        assert p.input_indices == (1, 9, 17, 25)
+        assert p.gt_indices == tuple(range(1, 26))
 
     def test_select_gt_frames(self):
         p = plan_windows(25, 4, 7)[0]

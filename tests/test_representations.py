@@ -149,6 +149,16 @@ class TestGranularity:
         with pytest.raises(InvalidInputError):
             tpr_granularity(0, 3, 3, 3)
 
+    def test_digit_bound_counts_every_term(self):
+        # r^332 takes 332 * 40 bits, the half window 1/2 three and the factor
+        # 2 one; M_p = 4 (3 bits) keeps the result within 4000 digits, and
+        # M_p = 8 (4 bits) is the one bit that carries it past
+        r = Fraction("1.000000000001")
+        spec = tpr_granularity(Fraction(1, 2), 332, 4, r)
+        assert spec.delta_t == 1 / (4 * r ** 332)
+        with pytest.raises(InvalidInputError, match="--half-window and --Mp"):
+            tpr_granularity(Fraction(1, 2), 332, 8, r)
+
     @pytest.mark.parametrize("levels,ratio", [(13, 3), (1, Fraction(10 ** 400))],
                              ids=["levels", "ratio-beyond-float"])
     def test_finest_window_below_microsecond(self, levels, ratio):
