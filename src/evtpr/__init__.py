@@ -3,11 +3,9 @@ decoding kernels for arbitrary-scale video frame interpolation and upscaling."""
 
 from .errors import FormatError, InvalidInputError, NumericError
 from .events import (
-    Event,
     EventStream,
     IntensityFrame,
     log_view,
-    polarity_integral,
     reconstruct_log_intensity,
     simulate_events,
 )
@@ -32,8 +30,8 @@ from .kernels import PipelineConfig
 __version__ = "0.1.0"
 
 __all__ = [
-    "Event", "EventStream", "IntensityFrame", "log_view", "simulate_events",
-    "polarity_integral", "reconstruct_log_intensity",
+    "EventStream", "IntensityFrame", "log_view", "simulate_events",
+    "reconstruct_log_intensity",
     "VoxelGrid", "TemporalPyramid", "GranularitySpec",
     "build_voxel_grid", "build_tpr", "tpr_granularity",
     "WindowPlan", "plan_windows", "downsample_bicubic",

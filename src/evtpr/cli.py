@@ -73,17 +73,19 @@ def _int_at_least(low: int, expected: str):
 
 
 def _frame_paths(directory: str) -> list[Path]:
-    """The sorted .pgm/.ppm files of a directory; a missing one is a usage error."""
+    """The sorted .pgm/.ppm files of a directory; a missing directory, or one
+    without such files, is a usage error."""
     d = Path(directory)
     if not d.is_dir():
         raise UsageError("frames directory %s does not exist" % directory)
-    return sorted(p for p in d.iterdir() if p.suffix.lower() in (".pgm", ".ppm"))
+    paths = sorted(p for p in d.iterdir() if p.suffix.lower() in (".pgm", ".ppm"))
+    if not paths:
+        raise UsageError("no .pgm/.ppm frames in %s" % directory)
+    return paths
 
 
 def _load_clip(frames_dir: str, timestamps: str | None) -> list[IntensityFrame]:
     paths = _frame_paths(frames_dir)
-    if not paths:
-        raise UsageError("no .pgm/.ppm frames in %s" % frames_dir)
     ts_path = Path(timestamps) if timestamps else Path(frames_dir) / "timestamps.txt"
     if not ts_path.is_file():
         raise UsageError("missing timestamps file %s" % ts_path)
@@ -183,7 +185,7 @@ def cmd_pipeline(args) -> int:
 def cmd_metrics(args) -> int:
     preds = [io_formats.read_frame(str(p)) for p in _frame_paths(args.pred_dir)]
     gts = [io_formats.read_frame(str(p)) for p in _frame_paths(args.gt_dir)]
-    if len(preds) != len(gts) or not preds:
+    if len(preds) != len(gts):
         raise UsageError("prediction and ground-truth frame counts differ")
     rows = ["index,time,psnr,ssim"]
     n = len(preds)

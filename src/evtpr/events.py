@@ -9,10 +9,10 @@ narrowed to their dtypes only after their values are checked, and
 `EventStream.window` is the one place that decides which events lie in
 a time window: a binary search on the sorted timestamps. Its `pixel` index
 (y * width + x, computed once per stream) is the one place that maps an
-event to its flat pixel; every scatter and lookup reads it. Reconstruction
-and `polarity_integral` integrate over the half-open window (t0, t1]; the
-voxel grid and temporal pyramid in `representations` use the closed
-[t0, t1]. Reconstruction requires the keyframe to have the sensor's size.
+event to its flat pixel; every scatter reads it. Reconstruction integrates
+over the half-open window (t0, t1]; the voxel grid and temporal pyramid in
+`representations` use the closed [t0, t1]. Reconstruction requires the
+keyframe to have the sensor's size.
 
 `simulate_events` emits the canonical event order: by timestamp, then
 pixel (row-major), then positive polarity first. It sorts one packed int64
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,22 +43,14 @@ _CROSSING_TOL = 1e-9
 _EVENT_DTYPES = {"t": np.int64, "x": np.int32, "y": np.int32, "p": np.int8}
 
 
-class Event(NamedTuple):
-    x: int
-    y: int
-    t: int  # microseconds
-    p: int  # +1 or -1
-
-
 @dataclass(frozen=True)
 class EventStream:
     """Time-sorted sequence of events on a fixed sensor.
 
-    Events are stored as parallel arrays for fast scanning; iterate the
-    stream to get `Event` tuples. Each array may be any 1-D integer
-    array-like; it is stored contiguous as its `_EVENT_DTYPES` entry,
-    narrowed before its range check only where no value can wrap. The
-    arrays are not mutated after construction: derived arrays such as
+    Events are stored as parallel arrays t, x, y and p. Each may be any 1-D
+    integer array-like; it is stored contiguous as its `_EVENT_DTYPES`
+    entry, narrowed before its range check only where no value can wrap.
+    The arrays are not mutated after construction: derived arrays such as
     `pixel` are cached on first use.
     """
 
@@ -124,9 +116,6 @@ class EventStream:
         pixel += self.x
         return pixel
 
-    def __iter__(self) -> Iterator[Event]:
-        return map(Event, self.x.tolist(), self.y.tolist(), self.t.tolist(), self.p.tolist())
-
 
 @dataclass(frozen=True)
 class IntensityFrame:
@@ -139,6 +128,8 @@ class IntensityFrame:
         px = self.pixels
         if px.ndim not in (2, 3) or (px.ndim == 3 and px.shape[2] != 3):
             raise InvalidInputError("pixels must be HxW or HxWx3")
+        if px.size == 0:  # H or W is 0: min() below has no identity
+            raise InvalidInputError("pixels must be at least 1x1")
         if not np.all(np.isfinite(px)):
             raise InvalidInputError("pixel values must be finite")
         if px.min() < 0.0 or px.max() > 1.0:
@@ -280,17 +271,6 @@ def simulate_events(frames: Sequence[IntensityFrame], C: float) -> EventStream:
         y=y,
         p=p,
     )
-
-
-def polarity_integral(stream: EventStream, x: int, y: int,
-                      t0: int, t1: int) -> int:
-    """Sum of polarities of events at (x, y) with t in (t0, t1]."""
-    if not (0 <= x < stream.sensor_width and 0 <= y < stream.sensor_height):
-        raise InvalidInputError("pixel out of sensor bounds")
-    if t0 > t1:
-        raise InvalidInputError("t0 must not exceed t1")
-    win = stream.window(t0, t1, lo_open=True)
-    return int(stream.p[win][stream.pixel[win] == y * stream.sensor_width + x].sum())
 
 
 def reconstruct_log_intensity(frame: IntensityFrame, stream: EventStream,

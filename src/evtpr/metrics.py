@@ -22,7 +22,6 @@ SSIM_K2 = 0.03
 class MetricReport:
     psnr: float  # dB, math.inf when images are identical
     ssim: float
-    channel_mode: str  # "y" or "rgb"
 
 
 def rgb_to_y(frame: np.ndarray) -> np.ndarray:
@@ -32,16 +31,14 @@ def rgb_to_y(frame: np.ndarray) -> np.ndarray:
     return frame @ _Y_COEFFS
 
 
-def psnr(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
-    """10*log10(peak^2 / MSE); +inf when the images are identical."""
+def psnr(a: np.ndarray, b: np.ndarray) -> float:
+    """10*log10(1 / MSE) for values in [0, 1]; +inf when the images are identical."""
     if a.shape != b.shape:
         raise InvalidInputError("shape mismatch")
-    if peak <= 0:
-        raise InvalidInputError("peak must be positive")
     mse = float(np.mean((a.astype(np.float64) - b.astype(np.float64)) ** 2))
     if mse == 0.0:
         return math.inf
-    return 10.0 * math.log10(peak * peak / mse)
+    return 10.0 * math.log10(1.0 / mse)
 
 
 def _gaussian_window(size: int, sigma: float) -> np.ndarray:
@@ -85,9 +82,9 @@ def evaluate(pred: np.ndarray, gt: np.ndarray, y_only: bool = True,
              border_crop: int = 0) -> MetricReport:
     """PSNR/SSIM between one prediction and its ground truth.
 
-    Y-only mode converts RGB inputs with the BT.601 luma first; SSIM is
-    always computed on the (luma or single) channel. `border_crop` trims N
-    pixels from every edge before measuring.
+    SSIM is computed on the luma of RGB inputs (BT.601) or on the single
+    channel; so is PSNR when `y_only`, and otherwise on the inputs as given.
+    `border_crop` trims N pixels from every edge before measuring.
     """
     if pred.shape != gt.shape:
         raise InvalidInputError("shape mismatch")
@@ -98,15 +95,6 @@ def evaluate(pred: np.ndarray, gt: np.ndarray, y_only: bool = True,
             raise InvalidInputError("border crop swallows the whole image")
         pred = pred[border_crop:-border_crop, border_crop:-border_crop]
         gt = gt[border_crop:-border_crop, border_crop:-border_crop]
-    if pred.ndim == 3:
-        mode = "y" if y_only else "rgb"
-        p_y, g_y = rgb_to_y(pred), rgb_to_y(gt)
-        if y_only:
-            p_psnr = psnr(p_y, g_y)
-        else:
-            p_psnr = psnr(pred, gt)
-    else:
-        mode = "y"
-        p_y, g_y = pred, gt
-        p_psnr = psnr(pred, gt)
-    return MetricReport(psnr=p_psnr, ssim=ssim(p_y, g_y), channel_mode=mode)
+    p_y, g_y = (rgb_to_y(pred), rgb_to_y(gt)) if pred.ndim == 3 else (pred, gt)
+    return MetricReport(psnr=psnr(p_y, g_y) if y_only else psnr(pred, gt),
+                        ssim=ssim(p_y, g_y))

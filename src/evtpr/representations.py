@@ -42,14 +42,6 @@ class VoxelGrid:
     t1: float
     data: np.ndarray  # bins x H x W signed reals
 
-    @property
-    def height(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[2]
-
 
 @dataclass(frozen=True)
 class TemporalPyramid:

@@ -19,13 +19,12 @@ per-tap einsums) are the straightforward resampling convolutions, kept
 unchanged for the same purpose. `cyclic_shift` is a gather of modular row
 and column indices, not production's `np.roll`, so the reference checks the
 shift geometry too.
-The event path (`simulate_events`, `polarity_integral`,
-`reconstruct_log_intensity`, `build_voxel_grid`, `build_tpr`) is kept the
-same way: a Python loop over every threshold crossing with a tuple sort,
-full-stream boolean window masks and `np.add.at` scatters. The event and
-representation containers and `log_view` are imported from production.
-`reference_pipeline_forward` composes all of it in the same order as
-`pipeline_forward`.
+The event path (`simulate_events`, `reconstruct_log_intensity`,
+`build_voxel_grid`, `build_tpr`) is kept the same way: a Python loop over
+every threshold crossing with a tuple sort, full-stream boolean window
+masks and `np.add.at` scatters. The event and representation containers
+and `log_view` are imported from production. `reference_pipeline_forward`
+composes all of it in the same order as `pipeline_forward`.
 """
 
 from __future__ import annotations
@@ -400,17 +399,6 @@ def simulate_events(frames: Sequence[IntensityFrame], C: float) -> EventStream:
         y=np.array([r[4] for r in rec], np.int32),
         p=np.array([r[5] for r in rec], np.int8),
     )
-
-
-def polarity_integral(stream: EventStream, x: int, y: int,
-                      t0: int, t1: int) -> int:
-    """Sum of polarities of events at (x, y) with t in (t0, t1]."""
-    if not (0 <= x < stream.sensor_width and 0 <= y < stream.sensor_height):
-        raise InvalidInputError("pixel out of sensor bounds")
-    if t0 > t1:
-        raise InvalidInputError("t0 must not exceed t1")
-    mask = (stream.x == x) & (stream.y == y) & (stream.t > t0) & (stream.t <= t1)
-    return int(stream.p[mask].sum())
 
 
 def reconstruct_log_intensity(frame: IntensityFrame, stream: EventStream,

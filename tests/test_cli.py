@@ -94,6 +94,24 @@ class TestSimulate:
         assert main(["simulate", str(d), "--threshold", "0.2",
                      "-o", str(tmp_path / "e.evt")]) == 2
 
+    def test_timestamps_path(self, tmp_path, capsys):
+        d = write_clip(tmp_path, make_ramp_clip(h=8, w=8, n_frames=4))
+        a, b = tmp_path / "a.evt", tmp_path / "b.evt"
+        assert main(["simulate", str(d), "--threshold", "0.1", "-o", str(a)]) == 0
+        stamps = (d / "timestamps.txt").rename(tmp_path / "stamps.txt")
+        assert main(["simulate", str(d), "--timestamps", str(stamps),
+                     "--threshold", "0.1", "-o", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        # the default file is no longer there, and a named path is not
+        # looked for anywhere else
+        capsys.readouterr()
+        for argv in ([], ["--timestamps", str(tmp_path / "nope.txt")]):
+            assert main(["simulate", str(d), *argv, "--threshold", "0.1",
+                         "-o", str(b)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "usage error: missing timestamps file %s" % (d / "timestamps.txt"),
+            "usage error: missing timestamps file %s" % (tmp_path / "nope.txt")]
+
 
 class TestRepresentations:
     @pytest.fixture
@@ -232,6 +250,15 @@ class TestPipelineCmd:
         assert main(["--threads", "1"] + args + ["-o", str(a)]) == 0
         monkeypatch.setenv("EVTPR_THREADS", "3")
         assert main(args + ["-o", str(b)]) == 0
+        assert (a / "out_000.ppm").read_bytes() == (b / "out_000.ppm").read_bytes()
+
+    def test_timestamps_path(self, rgb_clip, tmp_path):
+        d, events = rgb_clip
+        a, b = tmp_path / "a", tmp_path / "b"
+        args = ["pipeline", str(d), str(events), "--scale", "2", "--times", "0.5"]
+        assert main(args + ["-o", str(a)]) == 0
+        stamps = (d / "timestamps.txt").rename(tmp_path / "stamps.txt")
+        assert main(args + ["--timestamps", str(stamps), "-o", str(b)]) == 0
         assert (a / "out_000.ppm").read_bytes() == (b / "out_000.ppm").read_bytes()
 
 
@@ -658,6 +685,32 @@ class TestUsageErrors:
         assert main(["metrics", dirs["pred"], dirs["gt"],
                      "-o", str(tmp_path / "r.csv")]) == 2
         assert_one_line_error(capsys, "usage error: ")
+
+    @pytest.mark.parametrize("empty", [["pred"], ["gt"], ["pred", "gt"]],
+                             ids=["pred", "gt", "both"])
+    def test_metrics_directory_without_frames(self, tmp_path, capsys, empty):
+        dirs = {}
+        for name in ("pred", "gt"):
+            dirs[name] = tmp_path / name
+            dirs[name].mkdir()
+            if name not in empty:
+                write_frame(np.full((4, 4), 0.5), str(dirs[name] / "f.pgm"))
+        out = tmp_path / "r.csv"
+        assert main(["metrics", str(dirs["pred"]), str(dirs["gt"]), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "usage error: no .pgm/.ppm frames in %s\n" % dirs[empty[0]]
+        assert not out.exists()
+
+    def test_metrics_frame_counts_differ(self, tmp_path, capsys):
+        dirs = {name: tmp_path / name for name in ("pred", "gt")}
+        for name, n in (("pred", 2), ("gt", 1)):
+            dirs[name].mkdir()
+            for i in range(n):
+                write_frame(np.full((4, 4), 0.5), str(dirs[name] / ("f%d.pgm" % i)))
+        assert main(["metrics", str(dirs["pred"]), str(dirs["gt"]),
+                     "-o", str(tmp_path / "r.csv")]) == 2
+        assert capsys.readouterr().err == \
+            "usage error: prediction and ground-truth frame counts differ\n"
 
 
 def test_readme_usage_lists_exactly_the_subcommands():

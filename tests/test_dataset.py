@@ -89,6 +89,12 @@ class TestPlanWindows:
         rng2 = np.random.default_rng(3)
         assert select_gt_frames(p, 20, rng2) == picked
 
+    @pytest.mark.parametrize("count", [0, 26])
+    def test_select_gt_frames_count_outside_window(self, count):
+        p = plan_windows(25, 4, 7)[0]
+        with pytest.raises(InvalidInputError, match=r"count must be in \[1, W\]"):
+            select_gt_frames(p, count, np.random.default_rng(3))
+
 
 def cubic_weight(x, a=-0.5):
     x = abs(x)

@@ -10,7 +10,7 @@ import pytest
 
 from evtpr import EventStream, IntensityFrame
 from evtpr.errors import InvalidInputError
-from evtpr.events import polarity_integral, simulate_events
+from evtpr.events import simulate_events
 from evtpr.representations import build_tpr, build_voxel_grid
 
 import reference
@@ -120,8 +120,6 @@ class TestPixelIndex:
             y=np.array([h - 1, h - 1, 0], np.int32), p=np.array([1, -1, 1], np.int8))
         assert stream.pixel.dtype == np.int64
         assert stream.pixel.tolist() == [w * h - 1, (h - 1) * w, w - 1]
-        assert polarity_integral(stream, w - 1, h - 1, 0, 10) == 1
-        assert polarity_integral(stream, 0, h - 1, 0, 10) == -1
 
 
 class TestBinEdges:

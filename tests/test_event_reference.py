@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from evtpr import EventStream, IntensityFrame
-from evtpr.events import polarity_integral, reconstruct_log_intensity, simulate_events
+from evtpr.events import reconstruct_log_intensity, simulate_events
 from evtpr.representations import build_tpr, build_voxel_grid
 
 import reference
@@ -156,23 +156,6 @@ class TestReconstruct:
                 got = reconstruct_log_intensity(frame, stream, t1, C=0.3)
                 assert same(got, reference.reconstruct_log_intensity(
                     frame, stream, t1, C=0.3))
-
-
-class TestPolarityIntegral:
-    def test_every_pixel_on_event_bounded_windows(self):
-        stream = dense_stream(7)
-        windows = on_event_windows(stream, 8) + OFF_STREAM_WINDOWS + [(30, 30)]
-        for t0, t1 in windows:
-            for y in range(stream.sensor_height):
-                for x in range(stream.sensor_width):
-                    got = polarity_integral(stream, x, y, t0, t1)
-                    assert type(got) is int
-                    assert got == reference.polarity_integral(stream, x, y, t0, t1)
-
-    def test_empty_stream(self):
-        stream = empty_stream()
-        assert polarity_integral(stream, 3, 2, -5, 100) == \
-            reference.polarity_integral(stream, 3, 2, -5, 100) == 0
 
 
 def rgb_clip_with_hold(n_frames=6, h=12, w=10, seed=9):

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from evtpr import (
-    Event,
     EventStream,
     IntensityFrame,
     InvalidInputError,
     log_view,
-    polarity_integral,
     reconstruct_log_intensity,
     simulate_events,
 )
@@ -24,6 +22,23 @@ def frame_of(value, h=4, w=4, t=0):
 def stream_of(t, x, y, p, w=8, h=8, t_begin=0, t_end=100):
     return EventStream(sensor_width=w, sensor_height=h, t_begin=t_begin,
                        t_end=t_end, t=t, x=x, y=y, p=p)
+
+
+class TestIntensityFrame:
+    @pytest.mark.parametrize("pixels,message", [
+        (np.zeros(4), "HxW or HxWx3"),
+        (np.zeros((2, 2, 4)), "HxW or HxWx3"),
+        (np.zeros((0, 2)), "at least 1x1"),
+        (np.zeros((2, 0, 3)), "at least 1x1"),
+        (np.array([[0.5, np.nan]]), "finite"),
+        (np.array([[0.5, -np.inf]]), "finite"),
+        (np.array([[0.5, 1.5]]), r"lie in \[0, 1\]"),
+        (np.array([[-0.25, 0.5]]), r"lie in \[0, 1\]"),
+    ], ids=["1-d", "4-channels", "no-rows", "no-columns", "nan", "-inf",
+            "above-one", "below-zero"])
+    def test_malformed_pixels_rejected(self, pixels, message):
+        with pytest.raises(InvalidInputError, match=message):
+            IntensityFrame(timestamp=0, pixels=pixels)
 
 
 class TestLogView:
@@ -86,10 +101,9 @@ class TestSimulateEvents:
         v1 = math.exp(target_log) - 1e-3
         frames = [frame_of(v0, h=1, w=1, t=0), frame_of(v1, h=1, w=1, t=1)]
         stream = simulate_events(frames, C=C)
-        evs = list(stream)
-        assert [e.p for e in evs] == [1, 1]
+        assert stream.p.tolist() == [1, 1]
         # crossings at 50% and 100% of the 1 us segment, floored
-        assert [e.t for e in evs] == [0, 1]
+        assert stream.t.tolist() == [0, 1]
 
     def test_matches_1ns_scan_oracle(self):
         C = 0.15
@@ -97,7 +111,7 @@ class TestSimulateEvents:
         vals = [0.1, 0.55, 0.2, 0.8]
         frames = [frame_of(v, h=1, w=1, t=t) for v, t in zip(vals, stamps)]
         stream = simulate_events(frames, C=C)
-        got = [(e.t, e.p) for e in stream]
+        got = list(zip(stream.t.tolist(), stream.p.tolist()))
         levels = [math.log(v + 1e-3) for v in vals]
         assert got == scan_crossings_1ns(levels, stamps, C)
 
@@ -141,32 +155,37 @@ class TestSimulateEvents:
 
 
 class TestPolarityIntegral:
+    """The per-pixel sum of polarities over (t0, t1] that reconstruction
+    adds, times C, to its keyframe's log view."""
+
+    @staticmethod
+    def integral(stream, t0, t1):
+        frame = frame_of(0.5, h=stream.sensor_height, w=stream.sensor_width, t=t0)
+        return reconstruct_log_intensity(frame, stream, t1, C=1.0) - log_view(frame)
+
     def test_empty_interval(self, rng):
         stream = random_stream(rng)
-        assert polarity_integral(stream, 2, 3, 500, 500) == 0
+        assert not self.integral(stream, 500, 500).any()
 
     def test_counts_signed(self):
         stream = stream_of([10, 20, 30, 40], [1] * 4, [1] * 4, [1, 1, 1, -1],
                            w=4, h=4)
-        assert polarity_integral(stream, 1, 1, 0, 100) == 2
+        expected = np.zeros((4, 4))
+        expected[1, 1] = 2
+        assert np.allclose(self.integral(stream, 0, 100), expected, rtol=0, atol=1e-12)
 
     def test_additive_over_subintervals(self, rng):
         stream = random_stream(rng, n=400)
         cuts = [0, 10_000, 35_000, 70_000, 100_000]
-        for x in range(stream.sensor_width):
-            for y in range(stream.sensor_height):
-                total = polarity_integral(stream, x, y, cuts[0], cuts[-1])
-                parts = sum(polarity_integral(stream, x, y, a, b)
-                            for a, b in zip(cuts[:-1], cuts[1:]))
-                # brute-force enumeration over the raw event list
-                brute = sum(int(p) for xx, yy, t, p in stream
-                            if xx == x and yy == y and cuts[0] < t <= cuts[-1])
-                assert total == parts == brute
-
-    def test_out_of_bounds_pixel(self, rng):
-        stream = random_stream(rng)
-        with pytest.raises(InvalidInputError):
-            polarity_integral(stream, 99, 0, 0, 10)
+        total = self.integral(stream, cuts[0], cuts[-1])
+        parts = sum(self.integral(stream, a, b) for a, b in zip(cuts[:-1], cuts[1:]))
+        # brute-force enumeration over the raw event arrays
+        brute = np.zeros((stream.sensor_height, stream.sensor_width))
+        for x, y, t, p in zip(stream.x, stream.y, stream.t, stream.p):
+            if cuts[0] < t <= cuts[-1]:
+                brute[y, x] += p
+        assert np.allclose(total, brute, rtol=0, atol=1e-12)
+        assert np.allclose(parts, brute, rtol=0, atol=1e-12)
 
 
 class TestReconstruct:
@@ -225,7 +244,7 @@ class TestEventStreamStorage:
         arrays = (stream.t, stream.x, stream.y, stream.p)
         assert [a.dtype for a in arrays] == [np.int64, np.int32, np.int32, np.int8]
         assert all(a.flags.c_contiguous for a in arrays)
-        assert list(stream) == [Event(*e) for e in zip(self.X, self.Y, self.T, self.P)]
+        assert [a.tolist() for a in arrays] == [self.T, self.X, self.Y, self.P]
 
     def test_record_fields_are_copied(self):
         rec = np.zeros(4, [("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "i1")])
@@ -262,14 +281,31 @@ class TestEventStreamStorage:
             stream_of([2 ** 62 + 1, -2 ** 62 - 1], [0, 0], [0, 0], [1, 1],
                       t_begin=-2 ** 63, t_end=2 ** 63 - 1)
 
-    @pytest.mark.parametrize("event", [
-        Event(0, 0, 10, 300), Event(2 ** 40, 0, 10, 1), Event(0, 0, 2 ** 70, 1),
-        Event(0, -1, 10, 1), Event(0, 0, -2 ** 63, -1),
+    @pytest.mark.parametrize("event", [  # (x, y, t, p)
+        (0, 0, 10, 300), (2 ** 40, 0, 10, 1), (0, 0, 2 ** 70, 1),
+        (0, -1, 10, 1), (0, 0, -2 ** 63, -1),
     ], ids=["p-300", "x-2**40", "t-2**70", "y-negative", "t-before-begin"])
     def test_out_of_range_event(self, event):
-        x, y, t, p = ([a, b] for a, b in zip(Event(1, 1, 5, 1), event))
+        x, y, t, p = ([a, b] for a, b in zip((1, 1, 5, 1), event))
         with pytest.raises(InvalidInputError):
             stream_of(t, x, y, p)
+
+    @pytest.mark.parametrize("arrays,message", [
+        (dict(t=[3, 5, 5]), "equal length"),
+        (dict(p=[1, 0, 1, -1]), r"polarity must be \+1 or -1"),
+    ], ids=["short-t", "p-zero"])
+    def test_malformed_stream_rejected(self, arrays, message):
+        arrays = {**dict(t=self.T, x=self.X, y=self.Y, p=self.P), **arrays}
+        with pytest.raises(InvalidInputError, match=message):
+            stream_of(**arrays)
+
+    @pytest.mark.parametrize("lo_open", [False, True])
+    @pytest.mark.parametrize("t0,t1", [(90, 3), (math.nan, 90), (3, math.nan)],
+                             ids=["reversed", "nan-t0", "nan-t1"])
+    def test_window_empty_for_reversed_or_nan_bounds(self, t0, t1, lo_open):
+        stream = stream_of(self.T, self.X, self.Y, self.P)
+        assert stream.window(3, 90, lo_open=lo_open) != slice(0, 0)
+        assert stream.window(t0, t1, lo_open=lo_open) == slice(0, 0)
 
     @pytest.mark.parametrize("kwargs", [
         dict(t_end=2 ** 63), dict(t_begin=-2 ** 63 - 1),

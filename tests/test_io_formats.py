@@ -286,6 +286,11 @@ class TestTensorCodec:
 
 
 class TestPixmapCodec:
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 4), (1, 2, 2, 3)])
+    def test_write_rejects_bad_shape(self, shape):
+        with pytest.raises(FormatError, match="expected HxW or HxWx3"):
+            write_frame(np.zeros(shape), io.BytesIO())
+
     def test_white_ppm_pixel(self):
         buf = io.BytesIO()
         write_frame(np.ones((1, 1, 3)), buf)

@@ -101,6 +101,16 @@ class TestWindowGeometry:
         with pytest.raises(InvalidInputError):
             window_partition(np.zeros((1, 1, 6, 8), np.float32), 4)
 
+    def test_partition_rejects_wrong_rank(self):
+        with pytest.raises(InvalidInputError, match="L x C x H x W"):
+            window_partition(np.zeros((1, 8, 8), np.float32), 4)
+
+    @pytest.mark.parametrize("l,h,w", [(2, 8, 8), (1, 8, 4), (1, 4, 8)])
+    def test_unpartition_rejects_inconsistent_target(self, l, h, w):
+        windows = window_partition(np.zeros((1, 3, 8, 8), np.float32), 4)
+        with pytest.raises(InvalidInputError, match="inconsistent with target shape"):
+            window_unpartition(windows, 4, l, h, w)
+
     @pytest.mark.parametrize("M,h,w", [(1, 4, 4), (4, 8, 4)])
     def test_never_a_view_of_its_input(self, M, h, w):
         # one channel and M = 1 or M = W: here a reshape alone is a view
@@ -260,6 +270,24 @@ class TestAttention:
         with pytest.raises(InvalidInputError, match="biases"):
             dataclasses.replace(params, b_k=np.zeros(4, np.float32))
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("w_k", np.zeros((8, 4), np.float32), "square and consistent"),
+        ("w_o", np.zeros((4, 4), np.float32), "square and consistent"),
+        ("heads", 3, "head count must divide"),
+    ], ids=["w_k-8x4", "w_o-4x4", "heads-3"])
+    def test_malformed_params_rejected(self, field, value, message):
+        params = rand_attention(np.random.default_rng(10), 8, 2)
+        with pytest.raises(InvalidInputError, match=message):
+            dataclasses.replace(params, **{field: value})
+
+    @pytest.mark.parametrize("shape,message", [
+        ((5, 6), "input channels do not match"), ((3, 0, 8), "at least one token"),
+    ], ids=["6-channels", "no-tokens"])
+    def test_bad_input_rejected(self, shape, message):
+        params = rand_attention(np.random.default_rng(10), 8, 2)
+        with pytest.raises(InvalidInputError, match=message):
+            multi_head_self_attention(np.zeros(shape, np.float32), params)
+
     def test_matches_naive_reference(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
@@ -291,6 +319,16 @@ def zero_bias_steb(c, heads, seed=0):
 
 
 class TestSteb:
+    @pytest.mark.parametrize("layers,message", [
+        (dict(activations=("gelu",)), "lists must align"),
+        (dict(weights=(np.zeros((4, 8)), np.zeros((8, 5)))), "must chain"),
+    ], ids=["one-activation", "4-into-5"])
+    def test_malformed_mlp_rejected(self, layers, message):
+        mlp = dict(weights=(np.zeros((4, 8)), np.zeros((8, 4))),
+                   biases=(np.zeros(4), np.zeros(8)), activations=("gelu", "none"))
+        with pytest.raises(InvalidInputError, match=message):
+            MlpParams(**{**mlp, **layers})
+
     @pytest.mark.parametrize("shifted", [False, True])
     def test_shape_preserved(self, shifted):
         rng = np.random.default_rng(6)
@@ -459,6 +497,18 @@ class TestResampling:
         with pytest.raises(InvalidInputError):
             downsample_half(np.zeros((1, 1, 5, 4), np.float32), down)
 
+    @pytest.mark.parametrize("op,weight_shape,message", [
+        (downsample_half, (2, 2, 3, 3), "downsample kernel"),
+        (downsample_half, (2, 3, 2, 2), "downsample kernel"),
+        (downsample_half, (2, 2), "downsample kernel"),
+        (upsample_double, (2, 2, 2, 2), "upsample kernel"),
+        (upsample_double, (2, 3, 3, 3), "upsample kernel"),
+    ], ids=["down-3x3", "down-3-in", "down-2-d", "up-2x2", "up-3-in"])
+    def test_kernel_shape_rejected(self, op, weight_shape, message):
+        conv = ConvParams(weight=np.zeros(weight_shape), bias=np.zeros(2))
+        with pytest.raises(InvalidInputError, match=message):
+            op(np.zeros((1, 2, 4, 4), np.float32), conv)
+
 
 def brute_upsample_double(x, weight, bias):
     """Nearest x2 by np.repeat, then a zero-padded 3x3 convolution as a
@@ -595,8 +645,24 @@ class TestFusion:
             fuse_features(np.zeros((2, 4, 4), np.float32),
                           np.zeros((2, 4, 5), np.float32), conv)
 
+    @pytest.mark.parametrize("weight_shape", [(2, 3), (2, 4, 1, 1)],
+                             ids=["3-in-channels", "4-d-weight"])
+    def test_conv1x1_rejects_inconsistent_weight(self, weight_shape):
+        conv = ConvParams(weight=np.zeros(weight_shape), bias=np.zeros(2))
+        with pytest.raises(InvalidInputError, match="1x1 conv weight inconsistent"):
+            conv1x1(np.zeros((4, 4, 4), np.float32), conv)
+
 
 class TestExtractors:
+    @pytest.mark.parametrize("shape", [(2, 8, 8), (1, 3, 2, 8, 8)], ids=["3-d", "5-d"])
+    def test_regional_rejects_tpr_rank(self, shape):
+        from evtpr.kernels import RegionalParams
+        from evtpr.pipeline import _init_conv1x1
+        params = RegionalParams(lift=_init_conv1x1(np.random.default_rng(14), 2, 8),
+                                blocks=())
+        with pytest.raises(InvalidInputError, match="L x M_p x H x W"):
+            regional_extractor_forward(np.zeros(shape, np.float32), params, 4)
+
     def test_regional_shape_contract(self):
         rng = np.random.default_rng(13)
         params_rng = np.random.default_rng(14)
@@ -735,6 +801,16 @@ class TestTemporalEmbed:
         params = make_temporal_params(np.random.default_rng(25), 4, 2)
         with pytest.raises(InvalidInputError):
             temporal_embed(1.5, params, np.zeros((4, 2, 2), np.float32))
+
+    @pytest.mark.parametrize("compress_in,r_t_channels,message", [
+        (6, 6, "compress input channels"), (4, 6, "R_t channels"),
+    ], ids=["mlp-4-compress-6", "compress-4-r_t-6"])
+    def test_channel_mismatch(self, compress_in, r_t_channels, message):
+        params = TemporalEmbedParams(
+            mlp=forced_output_mlp(4, 1.0),
+            compress=ConvParams(weight=np.zeros((2, compress_in)), bias=np.zeros(2)))
+        with pytest.raises(InvalidInputError, match=message):
+            temporal_embed(0.5, params, np.zeros((r_t_channels, 2, 2), np.float32))
 
     def test_folded_head_matches_fuse_then_embed(self):
         rng = np.random.default_rng(26)
@@ -915,6 +991,20 @@ class TestSpatialDecode:
         feature = np.zeros((2, 4, 4), np.float32)
         with pytest.raises(InvalidInputError):
             spatial_decode(feature, np.array([[5.0, 1.0]]), 1.0, decoder)
+
+    @pytest.mark.parametrize("s,decoder_in,queries,message", [
+        (0.5, 4, [[1.0, 1.0]], "scale must be finite and >= 1"),
+        (math.inf, 4, [[1.0, 1.0]], "scale must be finite and >= 1"),
+        (math.nan, 4, [[1.0, 1.0]], "scale must be finite and >= 1"),
+        (1.0, 5, [[1.0, 1.0]], "decoder input dim"),
+        (1.0, 4, [[1.0, 1.0, 1.0]], "N x 2"),
+        (1.0, 4, [1.0, 1.0], "N x 2"),
+    ], ids=["s-0.5", "s-inf", "s-nan", "decoder-5-in", "queries-Nx3", "queries-1-d"])
+    def test_bad_arguments_rejected(self, s, decoder_in, queries, message):
+        decoder = _init_mlp(np.random.default_rng(30), [decoder_in, 4, 3], ["relu", "none"])
+        feature = np.zeros((2, 4, 4), np.float32)
+        with pytest.raises(InvalidInputError, match=message):
+            spatial_decode(feature, np.array(queries), s, decoder)
 
     def test_peak_memory_bounded_at_large_output(self):
         # 64x64x64 features at s=8: 262144 queries, whose N x 64 float32

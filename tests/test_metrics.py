@@ -35,13 +35,8 @@ class TestPsnr:
     def test_uniform_error_closed_form(self):
         a = np.full((32, 32), 0.5)
         b = a + 1.0 / 255.0
-        assert psnr(a, b, peak=1.0) == pytest.approx(20 * math.log10(255), abs=1e-9)
-        assert psnr(a, b, peak=1.0) == pytest.approx(48.1308, abs=1e-3)
-
-    def test_scale_invariance(self):
-        rng = np.random.default_rng(1)
-        a, b = rng.random((8, 8)), rng.random((8, 8))
-        assert psnr(2 * a, 2 * b, peak=2.0) == pytest.approx(psnr(a, b, peak=1.0))
+        assert psnr(a, b) == pytest.approx(20 * math.log10(255), abs=1e-9)
+        assert psnr(a, b) == pytest.approx(48.1308, abs=1e-3)
 
     def test_symmetry(self):
         rng = np.random.default_rng(2)
@@ -86,6 +81,14 @@ class TestSsim:
         with pytest.raises(InvalidInputError):
             ssim(np.zeros((8, 8)), np.zeros((8, 8)))
 
+    @pytest.mark.parametrize("a,b,message", [
+        (np.zeros((16, 16)), np.zeros((16, 17)), "shape mismatch"),
+        (np.zeros((16, 16, 3)), np.zeros((16, 16, 3)), "single-channel"),
+    ], ids=["shapes", "rgb"])
+    def test_rejected_inputs(self, a, b, message):
+        with pytest.raises(InvalidInputError, match=message):
+            ssim(a, b)
+
 
 class TestEvaluate:
     def test_identical_rgb(self):
@@ -93,7 +96,6 @@ class TestEvaluate:
         rep = evaluate(a, a.copy(), y_only=True)
         assert rep.psnr == math.inf
         assert rep.ssim == pytest.approx(1.0, abs=1e-9)
-        assert rep.channel_mode == "y"
 
     def test_border_crop_changes_region(self):
         a = np.random.default_rng(7).random((20, 20))
@@ -101,6 +103,24 @@ class TestEvaluate:
         b[0, 0] = 1.0 - b[0, 0]  # corrupt only the border
         assert evaluate(a, b).psnr < math.inf
         assert evaluate(a, b, border_crop=2).psnr == math.inf
+
+    @pytest.mark.parametrize("shape", [(16, 16), (16, 16, 3)], ids=["luma", "rgb"])
+    @pytest.mark.parametrize("y_only", [True, False])
+    def test_psnr_and_ssim_channels(self, shape, y_only):
+        rng = np.random.default_rng(8)
+        a, b = rng.random(shape), rng.random(shape)
+        luma = (rgb_to_y(a), rgb_to_y(b)) if len(shape) == 3 else (a, b)
+        rep = evaluate(a, b, y_only=y_only)
+        assert rep.psnr == (psnr(*luma) if y_only else psnr(a, b))
+        assert rep.ssim == ssim(*luma)
+
+    @pytest.mark.parametrize("b,border_crop,message", [
+        (np.zeros((20, 21)), 0, "shape mismatch"),
+        (np.zeros((20, 20)), 10, "swallows the whole image"),
+    ], ids=["shapes", "crop-10-of-20"])
+    def test_rejected_inputs(self, b, border_crop, message):
+        with pytest.raises(InvalidInputError, match=message):
+            evaluate(np.zeros((20, 20)), b, border_crop=border_crop)
 
     def test_negative_border_crop_rejected(self):
         a = np.random.default_rng(7).random((20, 20))

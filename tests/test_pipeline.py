@@ -195,6 +195,14 @@ class TestPipeline:
         with pytest.raises(InvalidInputError, match=field):
             PipelineConfig(n_in=4, **{field: value})
 
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(n_in=1), "n_in must be >= 2"),
+        (dict(n_in=4, c_r=8, heads=3), "heads must divide c_r"),
+    ], ids=["n_in-1", "heads-3"])
+    def test_config_rejects_inconsistent_sizes(self, kwargs, message):
+        with pytest.raises(InvalidInputError, match=message):
+            PipelineConfig(**kwargs)
+
     @pytest.mark.parametrize("field,value", [
         ("window_size", 4), ("voxel_bins", 4), ("tpr_levels", 3), ("tpr_moments", 2),
         ("tpr_ratio", 3.0),

@@ -113,6 +113,34 @@ class TestTemporalPyramid:
             build_tpr(stream, 500, 1000.0, 10 ** 9, 2, 3.0)
 
 
+    @pytest.mark.parametrize("args,message", [
+        ((0, 2, 3.0, 300), "levels must be >= 1"),
+        ((2, 0, 3.0, 300), "moments_per_level must be >= 1"),
+        ((2, 2, 1.0, 300), "attenuation r"),
+        ((2, 2, math.inf, 300), "attenuation r"),
+        ((2, 2, 3.0, 0), "half_window"),
+        ((2, 2, 3.0, math.nan), "half_window"),
+        ((2, 2, 3.0, math.inf), "half_window"),
+    ], ids=["L-0", "Mp-0", "r-1", "r-inf", "half-window-0", "half-window-nan",
+            "half-window-inf"])
+    def test_bad_arguments_rejected(self, args, message):
+        levels, moments, r, half = args
+        with pytest.raises(InvalidInputError, match=message):
+            build_tpr(one_event_stream(t=500), 500, half, levels, moments, r)
+
+    def test_level_window(self, rng):
+        stream = random_stream(rng, n=300, t_end=1000)
+        pyr = build_tpr(stream, 500, 300, 3, 2, 2.0)
+        windows = [pyr.level_window(level) for level in (1, 2, 3)]
+        assert windows == [(350.0, 650.0), (425.0, 575.0), (462.5, 537.5)]
+        for level, (t0, t1) in enumerate(windows):
+            assert np.array_equal(pyr.data[level],
+                                  build_voxel_grid(stream, 2, t0, t1).data)
+        for level in (0, 4):
+            with pytest.raises(InvalidInputError, match="level out of range"):
+                pyr.level_window(level)
+
+
 class TestGranularity:
     @pytest.mark.parametrize("levels,moments,expected", [
         (3, 3, Fraction(1, 81)),
@@ -148,6 +176,11 @@ class TestGranularity:
             tpr_granularity(Fraction(1, 2), 3, 3, 1)
         with pytest.raises(InvalidInputError):
             tpr_granularity(0, 3, 3, 3)
+
+    @pytest.mark.parametrize("levels,moments", [(0, 2), (3, 0)], ids=["L-0", "Mp-0"])
+    def test_levels_and_moments_below_one(self, levels, moments):
+        with pytest.raises(InvalidInputError, match="must be >= 1"):
+            tpr_granularity(Fraction(1, 2), levels, moments, 3)
 
     def test_digit_bound_counts_every_term(self):
         # r^332 takes 332 * 40 bits, the half window 1/2 three and the factor
