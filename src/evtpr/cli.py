@@ -73,8 +73,7 @@ def _int_at_least(low: int, expected: str):
 
 
 def _frame_paths(directory: str) -> list[Path]:
-    """The sorted .pgm/.ppm files of a directory; a missing directory, or one
-    without such files, is a usage error."""
+    """The sorted .pgm/.ppm files of a directory; none, or no directory, is a usage error."""
     d = Path(directory)
     if not d.is_dir():
         raise UsageError("frames directory %s does not exist" % directory)
