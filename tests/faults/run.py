@@ -1,7 +1,7 @@
 """The committed fault list: wiring faults the tier-1 tests must catch.
 
 Each entry below is one exact-text substitution in one file of `src`, and
-the tests expected to fail once it is made. The driver copies `src`,
+the tests expected to fail once it is made. This script copies `src`,
 `tests`, `pyproject.toml` and `README.md` (which a test reads) to a
 temporary directory. For every entry it applies the substitution there and
 runs the entry's tests with the output digests (`-k "not Digest"`) and
@@ -11,17 +11,16 @@ The repository itself is never modified.
 
 A fault that no test catches is a survivor. KNOWN_SURVIVORS names the faults
 that only a digest or the reference can see today; their entries run the
-whole suite. The driver exits 1 when:
+whole suite. The script exits 1 when:
 
 - an entry's old text does not occur exactly once (the code moved: update
   the entry);
-- the named tests fail before any fault is applied;
+- the tests fail before any fault is applied;
 - a fault outside KNOWN_SURVIVORS survives;
 - a known survivor is caught (take it off KNOWN_SURVIVORS).
 
 Never add a name to KNOWN_SURVIVORS to make a run pass. Standard library
-only; run from anywhere with `python tests/faults/run.py [name ...]`, where
-names pick entries (default: all).
+only; run from anywhere with `python tests/faults/run.py`.
 """
 
 from __future__ import annotations
@@ -123,13 +122,12 @@ def run_tests(tree: Path, tests) -> int:
                           stderr=subprocess.DEVNULL).returncode
 
 
-def main(argv: list[str]) -> int:
-    faults = [f for f in FAULTS if not argv or f.name in argv]
-    unknown = set(argv) - {f.name for f in FAULTS}
-    if unknown:
-        print("no such fault: %s" % ", ".join(sorted(unknown)))
+def main() -> int:
+    problems = ["%s: old text does not occur exactly once in %s" % (f.name, f.file)
+                for f in FAULTS if (ROOT / f.file).read_text().count(f.old) != 1]
+    if problems:
+        print("\n".join(problems))
         return 1
-    problems = []
     with tempfile.TemporaryDirectory(prefix="evtpr-faults-") as tmp:
         tree = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", "faults")
@@ -137,21 +135,12 @@ def main(argv: list[str]) -> int:
             shutil.copytree(ROOT / name, tree / name, ignore=ignore)
         for name in ("pyproject.toml", "README.md"):
             shutil.copy2(ROOT / name, tree)
-        for f in faults:
-            if (ROOT / f.file).read_text().count(f.old) != 1:
-                problems.append("%s: old text does not occur exactly once in %s"
-                                % (f.name, f.file))
-        if problems:
-            print("\n".join(problems))
-            return 1
-
-        tests = sorted({t for f in faults for t in f.tests})
-        if run_tests(tree, tests) != 0:
-            print("the named tests fail with no fault applied")
+        if run_tests(tree, ["tests"]) != 0:
+            print("the tests fail with no fault applied")
             return 1
 
         survivors = []
-        for f in faults:
+        for f in FAULTS:
             path = tree / f.file
             original = path.read_text()
             path.write_text(original.replace(f.old, f.new))
@@ -173,7 +162,7 @@ def main(argv: list[str]) -> int:
             print("%-40s %-8s %5.1f s" % (f.name, verdict, time.monotonic() - start),
                   flush=True)
 
-    print("%d faults, %d survivors: %s" % (len(faults), len(survivors),
+    print("%d faults, %d survivors: %s" % (len(FAULTS), len(survivors),
                                           ", ".join(survivors) or "none"))
     if problems:
         print("\n".join(problems))
@@ -182,4 +171,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
