@@ -149,7 +149,11 @@ class IntensityFrame:
 
 
 def log_view(frame: IntensityFrame) -> np.ndarray:
-    """ln(luma + LOG_EPS) for every pixel; RGB frames go through the BT.601 luma."""
+    """ln(luma + LOG_EPS) for every pixel; RGB frames go through the BT.601 luma.
+
+    The pixels are checked for finiteness again: IntensityFrame checked
+    them when it was built, but its array can be changed in place since.
+    """
     px = frame.pixels
     if px.ndim == 3:
         from .metrics import rgb_to_y

@@ -10,9 +10,12 @@ the layer-norm mean accumulates in float64); GELU takes the normal tail from
 Abramowitz & Stegun 7.1.26 in place of erf. Attention computes Q, K and V
 with one fused C x 3C GEMM whose Q columns carry the 1/sqrt(d) of the
 scores, and its scores are keys-major, K Q^T, so the softmax reduces over
-contiguous rows; AttentionParams builds the fused weights once. Both
-resampling convolutions run as BLAS GEMMs over gathered taps, the x2
-upsampling as four sub-pixel phases with no x2 tensor. The decoder runs one
+contiguous rows; AttentionParams builds the fused weights once. A STEB
+makes no shifted or partitioned copy of its input: each block gathers its
+windows through a table of token pixels, the cyclic shift folded in, and
+scatters them back to the same pixels of the one output. Both resampling
+convolutions run as BLAS GEMMs over gathered taps, one level at a time, the
+x2 upsampling as four sub-pixel phases with no x2 tensor. The decoder runs one
 block body for query arrays and output grids: a block takes the taps of its
 rows and of its columns and broadcasts them into each query's four corners.
 A whole output grid (QueryGrid), at any scale, solves each axis once and
@@ -199,19 +202,9 @@ def window_partition(x: np.ndarray, M: int) -> np.ndarray:
         raise InvalidInputError("window size must divide H and W")
     x = x.reshape(l, c, h // M, M, w // M, M)
     # a copy even where the reshape below could be a view of the input (C = 1
-    # and M = 1 or M = W), so steb_forward may add into it in place
+    # and M = 1 or M = W), so writing into the windows never changes x
     x = x.transpose(0, 2, 4, 3, 5, 1).copy()  # l, h/M, w/M, M, M, c
     return x.reshape(l * (h // M) * (w // M), M * M, c)
-
-
-def window_unpartition(windows: np.ndarray, M: int, l: int, h: int, w: int) -> np.ndarray:
-    """Inverse of window_partition; bit-exact."""
-    c = windows.shape[2]
-    if windows.shape != (l * (h // M) * (w // M), M * M, c):
-        raise InvalidInputError("window tensor inconsistent with target shape")
-    x = windows.reshape(l, h // M, w // M, M, M, c)
-    x = x.transpose(0, 5, 1, 3, 2, 4)
-    return np.ascontiguousarray(x.reshape(l, c, h, w))
 
 
 def cyclic_shift(x: np.ndarray, offset: int) -> np.ndarray:
@@ -415,23 +408,41 @@ def steb_forward(x: np.ndarray, params: StebParams, M: int,
     """Shift -> partition -> LN+windowed MHSA (residual) -> LN+MLP (residual)
     -> unpartition -> inverse shift. Output shape equals input shape.
 
-    Windows are independent, so the four middle steps run over blocks of
-    _STEB_CHUNK windows on `threads` threads, each block adding both
-    residuals in place into its rows of the partitioned tokens."""
+    The shift and the partition are one re-indexing of the pixels (Swin's
+    cyclic shift as a window order), so no shifted, partitioned or
+    unpartitioned copy of x is made. `table`, window_partition of one
+    level's flat pixel indices (cyclic_shift first when shifted), holds the
+    pixel of every token of every window of a level. Windows are
+    independent, so they run in blocks of _STEB_CHUNK windows on `threads`
+    threads: each block gathers its tokens from x, adds both residuals and
+    scatters them to the same pixels of the output. The windows tile every
+    level and are disjoint, so each output element is written once, by one
+    block.
+    """
+    if x.ndim != 4:
+        raise InvalidInputError("expected an L x C x H x W tensor")
     l, c, h, w = x.shape
+    pixels = np.arange(h * w).reshape(1, 1, h, w)
     if shifted:
-        x = cyclic_shift(x, -(M // 2))
-    tokens = window_partition(x, M)
+        pixels = cyclic_shift(pixels, -(M // 2))
+    table = window_partition(pixels, M)[..., 0]  # windows of a level x M*M
+    n = l * len(table)
+    source = x.reshape(l, c, h * w).transpose(0, 2, 1)  # level x pixel x channel
+    out = np.empty(x.shape, x.dtype)
+    channel = np.arange(c)[:, None, None] * (h * w)
 
     def block(start: int) -> None:
-        t = tokens[start:start + _STEB_CHUNK]
+        level, window = np.divmod(np.arange(start, min(start + _STEB_CHUNK, n)), len(table))
+        pixel = table[window]
+        # windows x M*M x c, the layout of window_partition's tokens
+        t = source[level[:, None], pixel]
         t += multi_head_self_attention(layer_norm(t), params.attn)
         t += mlp_forward(layer_norm(t), params.mlp)
+        # channel-major, so the writes run along the rows of each channel
+        pixel += (level * (c * h * w))[:, None]
+        out.reshape(-1)[channel + pixel] = np.ascontiguousarray(t.transpose(2, 0, 1))
 
-    _map_blocks(block, range(0, len(tokens), _STEB_CHUNK), threads)
-    out = window_unpartition(tokens, M, l, h, w)
-    if shifted:
-        out = cyclic_shift(out, M // 2)
+    _map_blocks(block, range(0, n, _STEB_CHUNK), threads)
     return out
 
 
@@ -449,22 +460,26 @@ def conv1x1(x: np.ndarray, params: ConvParams) -> np.ndarray:
 def downsample_half(x: np.ndarray, params: ConvParams) -> np.ndarray:
     """Strided 2x2 convolution (stride 2), channels preserved.
 
-    The four stride-2 taps of every channel are gathered into one
-    ... x 4C x (H/2 * W/2) buffer, in the order of the kernel's flattened
-    in_c x 2 x 2 axes, and convolved as one BLAS GEMM.
+    One level (leading index) at a time, the four stride-2 taps of every
+    channel are gathered into one 4C x (H/2 * W/2) buffer, in the order of
+    the kernel's flattened in_c x 2 x 2 axes, and convolved as one BLAS
+    GEMM, so the buffer is one level in size.
     """
     w, b = params.weight, params.bias
     if x.shape[-2] % 2 or x.shape[-1] % 2:
         raise InvalidInputError("downsample requires even spatial dimensions")
     if w.ndim != 4 or w.shape[2:] != (2, 2) or x.shape[-3] != w.shape[1]:
         raise InvalidInputError("downsample kernel must be out_c x in_c x 2 x 2")
-    xf = _f32(x)
-    *lead, c, h, wd = xf.shape
-    taps = np.stack([xf[..., 0::2, 0::2], xf[..., 0::2, 1::2],
-                     xf[..., 1::2, 0::2], xf[..., 1::2, 1::2]], axis=-3)
-    out = w.reshape(w.shape[0], 4 * c) @ taps.reshape(*lead, 4 * c, h // 2 * (wd // 2))
+    *lead, c, h, wd = x.shape
+    o = w.shape[0]
+    k = w.reshape(o, 4 * c)
+    out = np.empty((*lead, o, h // 2 * (wd // 2)), np.float32)
+    for level, y in zip(_f32(x).reshape(-1, c, h, wd), out.reshape(-1, *out.shape[-2:])):
+        taps = np.stack([level[:, 0::2, 0::2], level[:, 0::2, 1::2],
+                         level[:, 1::2, 0::2], level[:, 1::2, 1::2]], axis=-3)
+        np.matmul(k, taps.reshape(4 * c, -1), out=y)
     out += b[:, None]
-    return out.reshape(*lead, w.shape[0], h // 2, wd // 2)
+    return out.reshape(*lead, o, h // 2, wd // 2)
 
 
 # _PHASE_TAPS[p][u, d] = 1 where tap d of a 3-tap axis lands, after nearest x2,
@@ -480,34 +495,32 @@ def upsample_double(x: np.ndarray, params: ConvParams) -> np.ndarray:
     Computed as a sub-pixel convolution (Shi et al., CVPR 2016), without
     the x2 tensor: output phase (pi, pj), the pixels out[..., pi::2, pj::2],
     is a 2x2 convolution of the input, zero-padded once, whose four taps
-    are the sums of the 3x3 taps that land on the same input pixel. Each
-    phase gathers its four taps into one ... x 4C x (H * W) buffer and runs
-    as one BLAS GEMM.
+    are the sums of the 3x3 taps that land on the same input pixel. One
+    level (leading index) at a time, each phase gathers its four taps into
+    one 4C x (H * W) buffer and runs as one BLAS GEMM, so the padded input
+    and the taps are one level in size.
     """
     w, b = params.weight, params.bias
     if w.ndim != 4 or w.shape[2:] != (3, 3) or x.shape[-3] != w.shape[1]:
         raise InvalidInputError("upsample kernel must be out_c x in_c x 3 x 3")
-    xf = _f32(x)
-    *lead, c, h, wd = xf.shape
+    *lead, c, h, wd = x.shape
     o = w.shape[0]
-    padded = np.zeros((*lead, c, h + 2, wd + 2), np.float32)
-    padded[..., 1:-1, 1:-1] = xf
-    taps = np.empty((*lead, 4, c, h, wd), np.float32)
+    # the o x c x 2 x 2 kernel of each phase, flattened to the (u, v, c)
+    # order of the taps; this order fixes the GEMM's float32 summation
+    # order, which the output digests pin
+    phase_kernels = [
+        (_PHASE_TAPS[pi] @ w @ _PHASE_TAPS[pj].T).transpose(0, 2, 3, 1).reshape(o, 4 * c)
+        for pi, pj in np.ndindex(2, 2)]
+    padded = np.zeros((c, h + 2, wd + 2), np.float32)
+    taps = np.empty((4, c, h, wd), np.float32)
     out = np.empty((*lead, o, 2 * h, 2 * wd), np.float32)
-    for pi in range(2):
-        for pj in range(2):
-            # the o x c x 2 x 2 phase kernel, flattened to the (u, v, c) order
-            # of the taps; this order fixes the GEMM's float32 summation
-            # order, which the output digests pin
-            k = _PHASE_TAPS[pi] @ w @ _PHASE_TAPS[pj].T
-            k = k.transpose(0, 2, 3, 1).reshape(o, 4 * c)
-            for u in range(2):
-                for v in range(2):
-                    taps[..., 2 * u + v, :, :, :] = \
-                        padded[..., pi + u:pi + u + h, pj + v:pj + v + wd]
-            y = k @ taps.reshape(*lead, 4 * c, h * wd)
-            np.add(y.reshape(*lead, o, h, wd), b[:, None, None],
-                   out=out[..., pi::2, pj::2])
+    for level, y in zip(_f32(x).reshape(-1, c, h, wd), out.reshape(-1, o, 2 * h, 2 * wd)):
+        padded[:, 1:-1, 1:-1] = level
+        for (pi, pj), k in zip(np.ndindex(2, 2), phase_kernels):
+            for u, v in np.ndindex(2, 2):
+                taps[2 * u + v] = padded[:, pi + u:pi + u + h, pj + v:pj + v + wd]
+            np.add((k @ taps.reshape(4 * c, h * wd)).reshape(o, h, wd), b[:, None, None],
+                   out=y[:, pi::2, pj::2])
     return out
 
 
@@ -556,9 +569,9 @@ def holistic_extractor_forward(frames: np.ndarray, segments: Sequence[np.ndarray
     n_in = frames.shape[0]
     if len(segments) != n_in - 1:
         raise InvalidInputError("expected N_in - 1 event segments")
-    lifted_frames = conv1x1(frames, params.frame_lift)
-    x = np.empty((2 * n_in - 1,) + lifted_frames.shape[1:], np.float32)
-    x[0::2] = lifted_frames
+    x = np.empty((2 * n_in - 1, params.frame_lift.weight.shape[0]) + frames.shape[2:],
+                 np.float32)
+    x[0::2] = conv1x1(frames, params.frame_lift)
     x[1::2] = conv1x1(np.stack(segments), params.event_lift)
 
     skips = []
@@ -566,9 +579,10 @@ def holistic_extractor_forward(frames: np.ndarray, segments: Sequence[np.ndarray
         x = steb_forward(x, block, M, threads=threads)
         skips.append(x)
         x = downsample_half(x, down)
-    for block, up, skip in zip(params.decoder_blocks, params.ups, reversed(skips)):
+    for block, up in zip(params.decoder_blocks, params.ups):
         x = steb_forward(x, block, M, shifted=True, threads=threads)
-        x = upsample_double(x, up) + skip
+        x = upsample_double(x, up)
+        x += skips.pop()  # each skip is freed once added
     return x
 
 

@@ -203,10 +203,13 @@ def pipeline_forward(frames: Sequence[IntensityFrame], stream: EventStream,
     report.holistic_calls += 1
     report.stage_shapes["holistic_features"] = tuple(f_g.shape)
     f_g_pooled = f_g.mean(axis=0)  # collapse the level axis for fusion
+    del f_g, segments, frame_tensor  # later stages read only the mean
 
     span = ts[-1] - ts[0]
     half_window = _TPR_HALF_WINDOW_FRACTION * span
 
+    # a timestamp's tensors are released before the next timestamp's are
+    # built, and its regional features before the decode
     for t, frame in zip(times, outputs):
         center = ts[0] + t * span
         tpr = build_tpr(stream, center, half_window, config.tpr_levels,
@@ -218,7 +221,10 @@ def pipeline_forward(frames: Sequence[IntensityFrame], stream: EventStream,
         head = timestamp_head(t, params.fuse, params.temporal)
         r_ts = fuse_features(f_g_pooled, f_t_l.mean(axis=0), head)
         report.stage_shapes["temporal_embedded"] = tuple(r_ts.shape)
+        del tpr, f_t_l
         rgb = spatial_decode(r_ts, queries, s, params.decoder, threads=threads)
+        del r_ts
         np.clip(rgb.reshape(out_h, out_w, 3), 0.0, 1.0, out=frame)
+        del rgb
     report.stage_shapes["output_frame"] = (out_h, out_w, 3)
     return outputs, report

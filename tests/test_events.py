@@ -11,6 +11,7 @@ from evtpr import (
     reconstruct_log_intensity,
     simulate_events,
 )
+from evtpr.events import LOG_EPS
 
 from conftest import make_ramp_clip, random_stream
 
@@ -53,6 +54,16 @@ class TestLogView:
     def test_half_value(self):
         out = log_view(frame_of(0.5))
         assert np.allclose(out, -0.691149, atol=1e-6)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (4, 4, 3)], ids=["luma", "rgb"])
+    def test_array_changed_after_the_frame_was_built_rejected(self, shape):
+        first, frame = (IntensityFrame(timestamp=t, pixels=np.full(shape, 0.5))
+                        for t in (0, 10))
+        frame.pixels[1, 2] = np.nan
+        with pytest.raises(InvalidInputError, match="finite"):
+            log_view(frame)
+        with pytest.raises(InvalidInputError, match="finite"):
+            simulate_events([first, frame], C=0.1)
 
     def test_rgb_uses_luma(self):
         px = np.zeros((4, 4, 3))
@@ -145,6 +156,18 @@ class TestSimulateEvents:
             simulate_events([frame_of(0.2, t=0)], C=0.1)
         with pytest.raises(InvalidInputError, match="all frames must share dimensions"):
             simulate_events([frame_of(0.2, t=0), frame_of(0.4, h=4, w=8, t=10)], C=0.1)
+
+    def test_crossing_within_tolerance_past_the_clip_end_rejected(self):
+        # frame 1 stops 2e-9 C short of the first level, so no event; frame
+        # 2 stops 0.5e-9 C short, inside the crossing count's 1e-9 slack, so
+        # one event, whose time the segment's tiny slope extrapolates to
+        # 10 + (4/3) * 10 us, past the last frame
+        C = 0.1
+        first = math.log(0.3 + LOG_EPS)
+        frames = [frame_of(math.exp(first + C * level) - LOG_EPS, h=1, w=1, t=10 * k)
+                  for k, level in enumerate([0.0, 1 - 2e-9, 1 - 0.5e-9])]
+        with pytest.raises(InvalidInputError, match="outside"):
+            simulate_events(frames, C)
 
     def test_stream_is_sorted_and_in_bounds(self):
         frames = make_ramp_clip(h=8, w=8, n_frames=6)

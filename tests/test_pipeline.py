@@ -1,6 +1,7 @@
 import hashlib
 import io
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,6 +150,28 @@ class TestPipeline:
         with pytest.raises(InvalidInputError):
             pipeline_forward(frames, stream, 2.0, [0.5], config, params,
                              threads=0)
+
+    @pytest.mark.parametrize("threads,bound", [(1, 1800), (2, 2130)])
+    def test_peak_memory_per_input_pixel(self, threads, bound):
+        # the default config on a 4-frame 128 x 128 clip (7 holistic levels)
+        # at s = 2 and 3 times peaks in the holistic stage, at 1525-1561 B
+        # per input pixel at one thread and 1850 at two; the bounds are
+        # about 15% above
+        frames = toy_clip(h=128, w=128)
+        stream = simulate_events(frames, C=0.2)
+        config = PipelineConfig(n_in=4)
+        params = init_pipeline_params(config, 0)
+        small = toy_clip(h=32, w=32)
+        pipeline_forward(small, simulate_events(small, C=0.2), 2.0, [0.5], config,
+                         params)  # lazy imports, untraced
+        tracemalloc.start()
+        try:
+            pipeline_forward(frames, stream, 2.0, [0.0, 0.5, 1.0], config, params,
+                             threads=threads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / 128 ** 2 < bound
 
     def test_different_seeds_differ(self):
         frames = toy_clip()
