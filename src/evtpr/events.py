@@ -181,9 +181,11 @@ def simulate_events(frames: Sequence[IntensityFrame], C: float) -> EventStream:
     The per-pixel log-intensity signal is linearly interpolated between frame
     samples. Starting from the first frame's log value as reference, an event
     of polarity sign(dL) fires each time the signal departs from the
-    reference by C; the reference then advances by p*C. Event times are
-    rounded down to the microsecond. Deterministic: simultaneous events are
-    ordered row-major by pixel, positive polarity first.
+    reference by C; the reference then advances by p*C. A departure short of
+    C by at most _CROSSING_TOL * C counts. Event times are rounded down to the
+    microsecond and are at most the end of their segment. Deterministic:
+    simultaneous events are ordered row-major by pixel, positive polarity
+    first.
 
     That order is the order of one int64 key per event,
     (t - t_begin) * 2HW + 2 * (y * W + x) + (p < 0). Events with equal
@@ -233,15 +235,19 @@ def simulate_events(frames: Sequence[IntensityFrame], C: float) -> EventStream:
         level -= start[j]
         level *= pol[j]  # p * k
         # in place, in the order that fixes the rounding:
-        # frac = (ref + (p * k) * C - l0) / dl, then floor(t0 + frac * (t1 - t0))
+        # frac = (ref + (p * k) * C - l0) / dl, then floor(t0 + frac * (t1 - t0)),
+        # at most t1: a crossing counted within _CROSSING_TOL of a level the
+        # signal stops short of has frac > 1, and is stamped at its segment's end
         t_ev = level * C
         t_ev += ref[pix][j]
         t_ev -= l0[pix][j]
         t_ev /= dl_pix[j]
         t_ev *= t1 - t0
         t_ev += t0
+        np.minimum(t_ev, t1, out=t_ev)
         key = np.floor(t_ev, out=t_ev).astype(np.int64)  # t, packed below
-        # the check EventStream makes, before the key could wrap around
+        # the check EventStream makes, before the key could wrap around; the
+        # clamp above keeps every key in range, so this is a guard only
         if len(key) and (key.min() < ts[0] or key.max() > ts[-1]):
             raise InvalidInputError("event timestamps outside [t_begin, t_end]")
         # (t - t_begin) * 2HW + 2 * pixel + (p < 0), in place

@@ -11,13 +11,14 @@ Abramowitz & Stegun 7.1.26 in place of erf. Attention computes Q, K and V
 with one fused C x 3C GEMM whose Q columns carry the 1/sqrt(d) of the
 scores, and its scores are keys-major, K Q^T, so the softmax reduces over
 contiguous rows; AttentionParams builds the fused weights once. A STEB
-makes no shifted or partitioned copy of its input: each block gathers its
-windows through a table of token pixels, the cyclic shift folded in, and
-scatters them back to the same pixels of the one output. Both resampling
+updates its input in place and makes no shifted or partitioned copy of it:
+each block gathers its windows through a table of token pixels, the cyclic
+shift folded in, and scatters them back to the same pixels. Both resampling
 convolutions run as BLAS GEMMs over gathered taps, one level at a time, the
-x2 upsampling as four sub-pixel phases with no x2 tensor. The decoder runs one
-block body for query arrays and output grids: a block takes the taps of its
-rows and of its columns and broadcasts them into each query's four corners.
+x2 upsampling as four sub-pixel phases with no x2 tensor, each added into
+the skip tensor it is fused with. The decoder runs one block body for query
+arrays and output grids: a block takes the taps of its rows and of its
+columns and broadcasts them into each query's four corners.
 A whole output grid (QueryGrid), at any scale, solves each axis once and
 decodes blocks of whole output rows; a query array solves its axes per
 block. A QueryGrid holds only the grid's size; spatial_decode's s places its
@@ -406,7 +407,9 @@ _STEB_CHUNK = 512
 def steb_forward(x: np.ndarray, params: StebParams, M: int,
                  shifted: bool = False, threads: int = 1) -> np.ndarray:
     """Shift -> partition -> LN+windowed MHSA (residual) -> LN+MLP (residual)
-    -> unpartition -> inverse shift. Output shape equals input shape.
+    -> unpartition -> inverse shift, in place: x, taken as a contiguous
+    float32 array (a copy only if it is not one), is updated and returned.
+    After a NumericError its contents are undefined.
 
     The shift and the partition are one re-indexing of the pixels (Swin's
     cyclic shift as a window order), so no shifted, partitioned or
@@ -414,11 +417,12 @@ def steb_forward(x: np.ndarray, params: StebParams, M: int,
     level's flat pixel indices (cyclic_shift first when shifted), holds the
     pixel of every token of every window of a level. Windows are
     independent, so they run in blocks of _STEB_CHUNK windows on `threads`
-    threads: each block gathers its tokens from x, adds both residuals and
-    scatters them to the same pixels of the output. The windows tile every
-    level and are disjoint, so each output element is written once, by one
-    block.
+    threads: each block gathers its tokens from x (a copy), adds both
+    residuals and scatters them back to the same pixels of x. The windows
+    tile every level and are disjoint, so no block reads a pixel another
+    block writes, and each element is written once, by one block.
     """
+    x = np.ascontiguousarray(x, np.float32)
     if x.ndim != 4:
         raise InvalidInputError("expected an L x C x H x W tensor")
     l, c, h, w = x.shape
@@ -428,7 +432,7 @@ def steb_forward(x: np.ndarray, params: StebParams, M: int,
     table = window_partition(pixels, M)[..., 0]  # windows of a level x M*M
     n = l * len(table)
     source = x.reshape(l, c, h * w).transpose(0, 2, 1)  # level x pixel x channel
-    out = np.empty(x.shape, x.dtype)
+    flat = x.reshape(-1)  # a view: x is contiguous
     channel = np.arange(c)[:, None, None] * (h * w)
 
     def block(start: int) -> None:
@@ -440,10 +444,10 @@ def steb_forward(x: np.ndarray, params: StebParams, M: int,
         t += mlp_forward(layer_norm(t), params.mlp)
         # channel-major, so the writes run along the rows of each channel
         pixel += (level * (c * h * w))[:, None]
-        out.reshape(-1)[channel + pixel] = np.ascontiguousarray(t.transpose(2, 0, 1))
+        flat[channel + pixel] = np.ascontiguousarray(t.transpose(2, 0, 1))
 
     _map_blocks(block, range(0, n, _STEB_CHUNK), threads)
-    return out
+    return x
 
 
 def conv1x1(x: np.ndarray, params: ConvParams) -> np.ndarray:
@@ -489,22 +493,29 @@ _PHASE_TAPS = np.array([[[1, 0, 0], [0, 1, 1]],
                         [[1, 1, 0], [0, 0, 1]]], np.float32)
 
 
-def upsample_double(x: np.ndarray, params: ConvParams) -> np.ndarray:
-    """Nearest-neighbor x2 followed by a zero-padded 3x3 convolution.
+def upsample_double(x: np.ndarray, params: ConvParams, skip: np.ndarray) -> np.ndarray:
+    """Nearest-neighbor x2 followed by a zero-padded 3x3 convolution, added
+    into `skip`: skip, taken as a contiguous float32 array (a copy only if
+    it is not one) of the output's shape, is updated and returned, so no
+    output tensor is held beside it.
 
     Computed as a sub-pixel convolution (Shi et al., CVPR 2016), without
-    the x2 tensor: output phase (pi, pj), the pixels out[..., pi::2, pj::2],
+    the x2 tensor: output phase (pi, pj), the pixels skip[..., pi::2, pj::2],
     is a 2x2 convolution of the input, zero-padded once, whose four taps
     are the sums of the 3x3 taps that land on the same input pixel. One
     level (leading index) at a time, each phase gathers its four taps into
     one 4C x (H * W) buffer and runs as one BLAS GEMM, so the padded input
-    and the taps are one level in size.
+    and the taps are one level in size. A phase adds its convolution, bias
+    included, into skip, which rounds as (convolution + bias) + skip.
     """
     w, b = params.weight, params.bias
     if w.ndim != 4 or w.shape[2:] != (3, 3) or x.shape[-3] != w.shape[1]:
         raise InvalidInputError("upsample kernel must be out_c x in_c x 3 x 3")
     *lead, c, h, wd = x.shape
     o = w.shape[0]
+    skip = np.ascontiguousarray(skip, np.float32)
+    if skip.shape != (*lead, o, 2 * h, 2 * wd):
+        raise InvalidInputError("skip must have the upsampled output's shape")
     # the o x c x 2 x 2 kernel of each phase, flattened to the (u, v, c)
     # order of the taps; this order fixes the GEMM's float32 summation
     # order, which the output digests pin
@@ -513,15 +524,15 @@ def upsample_double(x: np.ndarray, params: ConvParams) -> np.ndarray:
         for pi, pj in np.ndindex(2, 2)]
     padded = np.zeros((c, h + 2, wd + 2), np.float32)
     taps = np.empty((4, c, h, wd), np.float32)
-    out = np.empty((*lead, o, 2 * h, 2 * wd), np.float32)
-    for level, y in zip(_f32(x).reshape(-1, c, h, wd), out.reshape(-1, o, 2 * h, 2 * wd)):
+    for level, y in zip(_f32(x).reshape(-1, c, h, wd), skip.reshape(-1, o, 2 * h, 2 * wd)):
         padded[:, 1:-1, 1:-1] = level
         for (pi, pj), k in zip(np.ndindex(2, 2), phase_kernels):
             for u, v in np.ndindex(2, 2):
                 taps[2 * u + v] = padded[:, pi + u:pi + u + h, pj + v:pj + v + wd]
-            np.add((k @ taps.reshape(4 * c, h * wd)).reshape(o, h, wd), b[:, None, None],
-                   out=y[:, pi::2, pj::2])
-    return out
+            phase = (k @ taps.reshape(4 * c, h * wd)).reshape(o, h, wd)
+            phase += b[:, None, None]
+            y[:, pi::2, pj::2] += phase
+    return skip
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +585,8 @@ def holistic_extractor_forward(frames: np.ndarray, segments: Sequence[np.ndarray
     x[0::2] = conv1x1(frames, params.frame_lift)
     x[1::2] = conv1x1(np.stack(segments), params.event_lift)
 
+    # every tensor here is the extractor's own, so the STEBs update them in
+    # place and each upsample adds into its skip
     skips = []
     for block, down in zip(params.encoder_blocks, params.downs):
         x = steb_forward(x, block, M, threads=threads)
@@ -581,8 +594,7 @@ def holistic_extractor_forward(frames: np.ndarray, segments: Sequence[np.ndarray
         x = downsample_half(x, down)
     for block, up in zip(params.decoder_blocks, params.ups):
         x = steb_forward(x, block, M, shifted=True, threads=threads)
-        x = upsample_double(x, up)
-        x += skips.pop()  # each skip is freed once added
+        x = upsample_double(x, up, skips.pop())
     return x
 
 

@@ -192,8 +192,9 @@ def pipeline_forward(frames: Sequence[IntensityFrame], stream: EventStream,
 
     report = RunReport()
 
-    # one voxel-grid segment per consecutive frame pair
-    segments = [build_voxel_grid(stream, config.voxel_bins, a, b).data
+    # one voxel-grid segment per consecutive frame pair, cast once to the
+    # float32 the lift reads
+    segments = [build_voxel_grid(stream, config.voxel_bins, a, b).data.astype(np.float32)
                 for a, b in zip(ts[:-1], ts[1:])]
     frame_tensor = np.stack(
         [np.moveaxis(f.pixels, -1, 0) for f in frames]).astype(np.float32)

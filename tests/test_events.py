@@ -157,17 +157,22 @@ class TestSimulateEvents:
         with pytest.raises(InvalidInputError, match="all frames must share dimensions"):
             simulate_events([frame_of(0.2, t=0), frame_of(0.4, h=4, w=8, t=10)], C=0.1)
 
-    def test_crossing_within_tolerance_past_the_clip_end_rejected(self):
+    @pytest.mark.parametrize("stamps", [(0, 10, 20), (0, 10, 20, 1000)],
+                             ids=["3-frames", "4th-frame"])
+    def test_crossing_within_tolerance_stamped_at_its_segment_end(self, stamps):
         # frame 1 stops 2e-9 C short of the first level, so no event; frame
         # 2 stops 0.5e-9 C short, inside the crossing count's 1e-9 slack, so
         # one event, whose time the segment's tiny slope extrapolates to
-        # 10 + (4/3) * 10 us, past the last frame
+        # 10 + (4/3) * 10 us, past the segment's end: it is stamped at 20 us,
+        # both at the clip's end and before a 4th (flat) frame
         C = 0.1
         first = math.log(0.3 + LOG_EPS)
-        frames = [frame_of(math.exp(first + C * level) - LOG_EPS, h=1, w=1, t=10 * k)
-                  for k, level in enumerate([0.0, 1 - 2e-9, 1 - 0.5e-9])]
-        with pytest.raises(InvalidInputError, match="outside"):
-            simulate_events(frames, C)
+        levels = [0.0, 1 - 2e-9, 1 - 0.5e-9, 1 - 0.5e-9]
+        frames = [frame_of(math.exp(first + C * level) - LOG_EPS, h=1, w=1, t=t)
+                  for t, level in zip(stamps, levels)]
+        stream = simulate_events(frames, C)
+        assert stream.t.tolist() == [20]
+        assert stream.p.tolist() == [1]
 
     def test_stream_is_sorted_and_in_bounds(self):
         frames = make_ramp_clip(h=8, w=8, n_frames=6)
